@@ -491,7 +491,7 @@ def run_corpus_configuration(
         with Engine(workers=engine_workers, warm=tuple(requests)) as engine:
             start = time.perf_counter()
             submissions = [
-                engine.run_scenario_campaign(request) for request in requests
+                engine.submit(request) for request in requests
             ]
             engine_seconds = time.perf_counter() - start
         for campaign in submissions:

@@ -128,7 +128,6 @@ def main(argv: list[str] | None = None) -> int:
     shard.add_argument("--shard-index", type=int, required=True)
     shard.add_argument("--shard-count", type=int, required=True)
     shard.add_argument("--plan", default=None, help="portable plan file")
-    shard.add_argument("--workers", type=int, default=1)
     shard.add_argument(
         "--out", default=None,
         help="shard file path (default: shard-<i>-of-<n>.shard)",
@@ -153,10 +152,9 @@ def main(argv: list[str] | None = None) -> int:
     local.add_argument("--shard-count", type=int, default=None)
     local.add_argument("--out-dir", default=None,
                        help="keep plan + shard files here")
-    local.add_argument("--workers-per-shard", type=int, default=1)
     local.add_argument(
         "--engine", type=int, default=None, metavar="WORKERS",
-        help="run on a warm in-process engine with N work-stealing "
+        help="run on a supervised in-process engine with N work-stealing "
         "workers instead of shard processes (identical result, no "
         "per-shard fixed cost; no shard files are written)",
     )
@@ -165,7 +163,6 @@ def main(argv: list[str] | None = None) -> int:
         "resume", help="re-run only the missing shards of out-dir + merge"
     )
     resume.add_argument("out_dir")
-    resume.add_argument("--workers-per-shard", type=int, default=1)
 
     args = parser.parse_args(argv)
 
@@ -182,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "run-shard":
         spec = _spec(args, args.shard_index, args.shard_count)
-        result = run_shard(spec, plan_path=args.plan, workers=args.workers)
+        result = run_shard(spec, plan_path=args.plan)
         out = args.out or shard_file_name(
             args.shard_index, args.shard_count
         )
@@ -230,9 +227,9 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("run-local needs exactly one of "
                          "--shard-count or --engine")
         if args.engine is not None:
-            from repro.engine import run_engine_campaign
+            from repro.mutation.runner import run_driver_campaign
 
-            result = run_engine_campaign(
+            result = run_driver_campaign(
                 driver=args.driver,
                 mode=args.mode,
                 fraction=args.fraction,
@@ -258,16 +255,13 @@ def main(argv: list[str] | None = None) -> int:
             boot_checkpoint=args.boot_checkpoint,
             checkpoint_granularity=args.granularity,
             step_budget=args.step_budget,
-            workers_per_shard=args.workers_per_shard,
             echo=lambda command: print("+", " ".join(command)),
         )
         print(_render(result))
         return 0
 
     if args.command == "resume":
-        result = resume_missing(
-            args.out_dir, workers_per_shard=args.workers_per_shard
-        )
+        result = resume_missing(args.out_dir)
         print(_render(result))
         return 0
 

@@ -93,9 +93,7 @@ def _child_env() -> dict:
     return env
 
 
-def shard_command(
-    spec: ShardSpec, out_path, plan_path=None, workers: int = 1
-) -> list[str]:
+def shard_command(spec: ShardSpec, out_path, plan_path=None) -> list[str]:
     """The ``run-shard`` CLI invocation reproducing ``spec`` anywhere."""
     command = [
         sys.executable,
@@ -128,8 +126,6 @@ def shard_command(
         command += ["--step-budget", str(spec.step_budget)]
     if plan_path is not None:
         command += ["--plan", str(plan_path)]
-    if workers != 1:
-        command += ["--workers", str(workers)]
     return command
 
 
@@ -137,7 +133,6 @@ def run_shards_local(
     specs: list[ShardSpec],
     out_dir,
     plan_path=None,
-    workers_per_shard: int = 1,
     echo=None,
 ) -> list[str]:
     """Run each spec as an independent OS process; returns shard paths.
@@ -153,9 +148,7 @@ def run_shards_local(
         out_path = os.path.join(
             out_dir, shard_file_name(spec.shard_index, spec.shard_count)
         )
-        command = shard_command(
-            spec, out_path, plan_path=plan_path, workers=workers_per_shard
-        )
+        command = shard_command(spec, out_path, plan_path=plan_path)
         if echo is not None:
             echo(command)
         procs.append(
@@ -195,7 +188,6 @@ def sharded_campaign(
     boot_checkpoint: bool | None = None,
     checkpoint_granularity: str | None = None,
     step_budget: int | None = None,
-    workers_per_shard: int = 1,
     echo=None,
 ) -> CampaignResult:
     """One-call sharded campaign: plan once, fan out, merge.
@@ -237,20 +229,12 @@ def sharded_campaign(
                 backend=backend,
             )
         paths = run_shards_local(
-            specs,
-            directory,
-            plan_path=plan_path,
-            workers_per_shard=workers_per_shard,
-            echo=echo,
+            specs, directory, plan_path=plan_path, echo=echo
         )
         return merge_shard_files(paths)
 
 
-def resume_missing(
-    out_dir,
-    workers_per_shard: int = 1,
-    echo=None,
-) -> CampaignResult:
+def resume_missing(out_dir, echo=None) -> CampaignResult:
     """Finish a crashed sharded run: re-run only the absent shards.
 
     Scans ``out_dir`` for shard files, derives the missing shard
@@ -307,10 +291,6 @@ def resume_missing(
             for index in missing
         ]
         present += run_shards_local(
-            specs,
-            out_dir,
-            plan_path=plan_path,
-            workers_per_shard=workers_per_shard,
-            echo=echo,
+            specs, out_dir, plan_path=plan_path, echo=echo
         )
     return merge_shard_files(present)

@@ -119,7 +119,6 @@ def campaign_identity(
 def run_shard(
     spec: ShardSpec,
     plan_path=None,
-    workers: int = 1,
     progress=None,
 ) -> ShardResult:
     """Evaluate one shard of a campaign, coordination-free.
@@ -130,7 +129,8 @@ def run_shard(
     names a portable checkpoint plan
     (`repro.kernel.checkpoint.save_plan`): the instrumented clean boot
     then ships to the shard instead of being re-recorded; giving one
-    implies boot checkpointing.
+    implies boot checkpointing.  The stride is evaluated serially: a
+    shard is the unit of parallelism.
     """
     spec.validate()
     boot_checkpoint = spec.boot_checkpoint
@@ -185,7 +185,6 @@ def run_shard(
         checkpoint_granularity=granularity or "subcall",
         granularity_pinned=pinned is not None or plan_path is not None,
         checkpoint_plan=plan_path,
-        workers=workers,
         progress=progress,
     )
     return ShardResult(

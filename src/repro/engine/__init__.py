@@ -12,18 +12,23 @@ byte-identical to the serial runner for any worker count and any steal
 schedule, because evaluation reuses the serial code paths and the merge
 is keyed by sampled index (`repro.engine.state`).
 
+Every campaign kind is a campaign target
+(`repro.mutation.runner.CampaignTarget`) named by a request; workers
+evaluate leases through the same target methods the serial loop calls.
+
 Front ends, closest-first:
 
-* ``Engine`` / ``run_engine_campaign`` — in-process;
-* ``run_driver_campaign(engine=...)`` — the classic entry point,
-  engine-backed (likewise ``repro.faults.run_fault_campaign`` and
+* ``Engine.submit`` — in-process, any request type;
+* ``run_driver_campaign(workers=N)`` / ``(engine=...)`` — the classic
+  entry points on a throwaway or a warm engine (likewise
+  ``repro.faults.run_fault_campaign`` and
   ``repro.scenarios.run_scenario_campaign``);
-* ``EngineClient`` ↔ ``python -m repro.engine serve`` — a Unix-socket
-  daemon (`repro.engine.daemon`) whose warm state outlives submitting
-  processes.
+* ``EngineClient.submit`` ↔ ``python -m repro.engine serve`` — a
+  Unix-socket daemon (`repro.engine.daemon`) whose warm state outlives
+  submitting processes.
 """
 
-from repro.engine.core import Engine, EngineError, run_engine_campaign
+from repro.engine.core import Engine, EngineError
 from repro.engine.daemon import CampaignFailedError, EngineClient, serve
 from repro.engine.scheduler import (
     LeaseEvent,
@@ -56,6 +61,5 @@ __all__ = [
     "WarmSpec",
     "WarmState",
     "default_lease_size",
-    "run_engine_campaign",
     "serve",
 ]

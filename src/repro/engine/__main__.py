@@ -164,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     client = EngineClient(args.socket, wait=args.wait)
 
     if args.command == "submit":
-        campaign = client.run_campaign(_request(args))
+        campaign = client.submit(_request(args))
         print(json.dumps({
             "driver": campaign.driver,
             "tested": campaign.tested,
@@ -175,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "submit-spec":
-        campaign = client.run_spec_campaign(SpecRequest(
+        campaign = client.submit(SpecRequest(
             spec_name=args.spec_name,
             fraction=args.fraction,
             seed=args.seed,

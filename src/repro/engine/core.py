@@ -34,11 +34,14 @@ shards ran the sampled campaign at 0.4× the serial checkpointed speed.
   `repro.engine.supervision` for the policy knobs.
 
 Determinism: results carry their sampled index and merge positionally,
-checkpoint-counter deltas sum commutatively, and each evaluation runs
-the serial runner's own code path against state recorded once — so for
-every ``(worker count, steal schedule)`` pair the assembled
-`~repro.mutation.runner.CampaignResult` is byte-identical to the serial
-run, and a warm engine's Nth campaign equals its cold-start equivalent.
+checkpoint-counter deltas sum commutatively, and each evaluation calls
+the same campaign target (`repro.mutation.runner.CampaignTarget`) the
+serial loop calls, against state recorded once — so for every ``(worker
+count, steal schedule)`` pair the assembled campaign result is
+byte-identical to the serial run, and a warm engine's Nth campaign
+equals its cold-start equivalent.  This engine is also what
+``workers=N`` means on every campaign entry point: a throwaway engine
+per call (`repro.mutation.runner.run_request`).
 Supervision preserves the invariant because leases are answered by
 all-or-nothing frames: a frame either merges completely (each index and
 its stats delta exactly once) or was never written, so a lost lease
@@ -60,29 +63,10 @@ import traceback
 from collections import deque
 from multiprocessing import connection
 
-from repro.mutation.runner import (
-    CampaignResult,
-    DevilCampaignResult,
-    MutantResult,
-    _merge_stats,
-    _pool_context,
-)
-from repro.mutation.sampling import DEFAULT_SEED
+from repro.mutation.runner import _merge_stats
 from repro.engine.scheduler import StealScheduler
-from repro.engine.state import (
-    DEVIL_KIND,
-    DRIVER_KIND,
-    FAULT_KIND,
-    SCENARIO_KIND,
-    CampaignRequest,
-    FaultRequest,
-    ScenarioRequest,
-    SpecRequest,
-    WarmSpec,
-    WarmState,
-)
+from repro.engine.state import WarmSpec, WarmState
 from repro.engine.supervision import QuarantineRecord, SupervisionPolicy
-from repro.faults.campaign import FaultCampaignResult
 
 
 class EngineError(RuntimeError):
@@ -106,6 +90,25 @@ _INHERITED_STATES: dict | None = None
 #: uses it to crash (``os._exit``) or wedge (``time.sleep``) workers on
 #: chosen indices; production code never sets it.
 _TEST_EVAL_HOOK = None
+
+
+def _pool_context(start_method: str | None = None):
+    """The multiprocessing context engine workers run under.
+
+    ``start_method`` (or the ``REPRO_MP_START_METHOD`` environment
+    variable) forces a start method; otherwise ``fork`` is used where
+    the platform provides it, with ``spawn`` as the portable fallback.
+    Campaign results are identical under either method: ``spawn``
+    re-randomizes each worker's interpreter hash seed, which the
+    CRC32-keyed address mapping makes irrelevant to outcomes.
+    """
+    method = start_method or os.environ.get("REPRO_MP_START_METHOD")
+    if method:
+        return multiprocessing.get_context(method)
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        return multiprocessing.get_context("spawn")
 
 
 def _load_test_hook():
@@ -141,9 +144,9 @@ def _worker_main(worker_id: int, conn, warm_payload) -> None:
                     states[spec] = WarmState.build(spec, plan_path=plan_path)
                 conn.send(("warmed", worker_id, spec))
             elif op == "eval":
-                _, campaign_id, spec, fraction, seed, indices = message
+                _, campaign_id, spec, params, seed, indices = message
                 state = states[spec]
-                tested = state.tested(fraction, seed)
+                tested = state.tested(params, seed)
                 items = []
                 for index in indices:
                     item = tested[index]
@@ -365,21 +368,11 @@ class Engine:
         if state is not None:
             return state
         state = WarmState.build(spec)
-        plan_path = None
-        if spec.kind in (DRIVER_KIND, SCENARIO_KIND) and spec.boot_checkpoint:
-            # Persist the recorded plan so workers warmed *after* the
-            # fork load it instead of re-running the instrumented boot.
-            from repro.kernel.checkpoint import save_plan
-
-            plan_path = os.path.join(
-                self._scratch, f"plan-{len(self._plan_paths)}.ckpt"
-            )
-            save_plan(
-                state.context._plan,
-                plan_path,
-                state.setup.source,
-                state.setup.driver_filename,
-            )
+        # Persist a recorded plan so workers warmed *after* the fork load
+        # it instead of re-running the instrumented boot.
+        plan_path = state.target.export_plan(
+            os.path.join(self._scratch, f"plan-{len(self._plan_paths)}.ckpt")
+        )
         self._states[spec] = state
         self._plan_paths[spec] = plan_path
         return state
@@ -449,31 +442,24 @@ class Engine:
     def submit(self, request, progress=None, on_result=None):
         """Evaluate one campaign request against the warm pool.
 
-        Returns the same result object the serial runner produces:
-        `~repro.mutation.runner.CampaignResult` for
-        :class:`CampaignRequest`,
-        `~repro.mutation.runner.DevilCampaignResult` for
-        :class:`SpecRequest`,
-        `~repro.faults.campaign.FaultCampaignResult` for
-        :class:`FaultRequest`,
-        `~repro.mutation.runner.CampaignResult` labelled
-        ``scenario:<id>`` for :class:`ScenarioRequest` — byte-identical
-        to the cold-start equivalent.  ``on_result(index, result)`` streams results in
-        completion order; ``progress(done, total)`` mirrors the serial
-        runner's callback.
+        Returns the result object the serial runner produces for the
+        request's kind (built by its target's ``result``) —
+        byte-identical to the cold-start equivalent.
+        ``on_result(index, result)`` streams results in completion
+        order; ``progress(done, total)`` mirrors the serial runner's
+        callback.
         """
         if not self._started:
             self.start()
         if self._closed:
             raise EngineError("engine already closed")
-        request = request.resolved()
         spec = request.warm_spec()
         state = self._ensure_warm(spec)
-        tested = state.tested(request.fraction, request.seed)
+        params = request.params
+        tested = state.tested(params, request.seed)
         try:
             results, stats, quarantined = self._evaluate(
-                spec, state, tested, request.fraction, request.seed,
-                progress, on_result,
+                spec, state, tested, params, request.seed, progress, on_result
             )
         except BaseException:
             # A failed campaign must not poison the pool: respawn any
@@ -483,83 +469,13 @@ class Engine:
             if self.supervision.enabled and not self._closed:
                 self._repair_pool()
             raise
-        if spec.kind == FAULT_KIND:
-            campaign = FaultCampaignResult(
-                driver=spec.driver,
-                mode=spec.mode,
-                seed=request.seed,
-                per_dimension=request.per_dimension,
-                injection=request.injection,
-                granularity=spec.granularity,
-                dimensions=tuple(request.dimensions),
-                clean_steps=state.fault_context.clean_steps,
-                step_budget=state.fault_context.budget,
-            )
-            campaign.results = results
-            campaign.checkpoint_stats = stats
-            campaign.quarantine = quarantined
-            return campaign
-        if spec.kind == DEVIL_KIND:
-            campaign = DevilCampaignResult(
-                spec_name=spec.spec_name,
-                lines=state.lines,
-                sites=state.sites,
-                enumerated=state.enumerated,
-            )
-            campaign.results = results
-            campaign.quarantine = quarantined
-            return campaign
-        campaign = CampaignResult(
-            # Scenario campaigns carry the serial runner's label so an
-            # engine result compares byte-identical to a serial one.
-            driver=(
-                f"scenario:{spec.spec_name}"
-                if spec.kind == SCENARIO_KIND
-                else spec.driver
-            ),
-            enumerated=state.enumerated,
-            clean_steps=state.setup.clean_steps,
-            step_budget=state.setup.budget,
-        )
-        campaign.results = results
-        campaign.checkpoint_stats = stats
-        campaign.quarantine = quarantined
-        return campaign
-
-    def run_campaign(self, request: CampaignRequest, progress=None, on_result=None) -> CampaignResult:
-        """`submit`, typed for driver campaigns (Tables 3/4)."""
-        if not isinstance(request, CampaignRequest):
-            raise EngineError(
-                f"run_campaign takes a CampaignRequest, got {type(request)!r}"
-            )
-        return self.submit(request, progress=progress, on_result=on_result)
-
-    def run_fault_campaign(
-        self, request: FaultRequest, progress=None, on_result=None
-    ) -> FaultCampaignResult:
-        """`submit`, typed for environment-fault campaigns (`repro.faults`)."""
-        if not isinstance(request, FaultRequest):
-            raise EngineError(
-                f"run_fault_campaign takes a FaultRequest, got {type(request)!r}"
-            )
-        return self.submit(request, progress=progress, on_result=on_result)
-
-    def run_scenario_campaign(
-        self, request: ScenarioRequest, progress=None, on_result=None
-    ) -> CampaignResult:
-        """`submit`, typed for generated-scenario campaigns (`repro.scenarios`)."""
-        if not isinstance(request, ScenarioRequest):
-            raise EngineError(
-                f"run_scenario_campaign takes a ScenarioRequest, "
-                f"got {type(request)!r}"
-            )
-        return self.submit(request, progress=progress, on_result=on_result)
+        return state.target.result(request, results, stats, quarantined)
 
     def _evaluate(
-        self, spec, state, tested, fraction, seed, progress, on_result
-    ) -> tuple[list[MutantResult], dict | None, tuple]:
+        self, spec, state, tested, params, seed, progress, on_result
+    ) -> tuple[list, dict | None, tuple]:
         total = len(tested)
-        results: list[MutantResult | None] = [None] * total
+        results: list = [None] * total
         stats: dict | None = None
         quarantined: list[QuarantineRecord] = []
         if total == 0:
@@ -626,7 +542,7 @@ class Engine:
                 return True  # empty lease: legal no-op, ask again later
             try:
                 self._conns[worker_id].send(
-                    ("eval", campaign_id, spec, fraction, seed, indices)
+                    ("eval", campaign_id, spec, params, seed, indices)
                 )
             except (BrokenPipeError, OSError) as error:
                 if not policy.enabled:
@@ -678,11 +594,11 @@ class Engine:
 
         def quarantine(index: int, kind: str, attempts: int) -> None:
             item = tested[index]
-            row = state.crash_result(item, kind, attempts)
+            row = state.target.crash_row(item, kind, attempts)
             entry = QuarantineRecord(
                 kind=kind,
                 index=index,
-                item=state.describe_item(item),
+                item=state.target.describe(item),
                 attempts=attempts,
             )
             quarantined.append(entry)
@@ -859,47 +775,3 @@ class Engine:
                 fail_worker(worker_id, "crash")
         assert all(result is not None for result in results)
         return results, stats, tuple(quarantined)  # type: ignore[return-value]
-
-def run_engine_campaign(
-    driver: str = "c",
-    mode: str = "debug",
-    fraction: float = 1.0,
-    seed: int = DEFAULT_SEED,
-    *,
-    workers: int | None = None,
-    backend: str | None = None,
-    compile_cache: bool = True,
-    boot_checkpoint: bool | None = None,
-    checkpoint_granularity: str | None = None,
-    step_budget: int | None = None,
-    scheduler_factory=None,
-    start_method: str | None = None,
-    supervision: SupervisionPolicy | None = None,
-    progress=None,
-) -> CampaignResult:
-    """One-call engine campaign: warm, fork, evaluate, tear down.
-
-    The throwaway-engine convenience behind ``run-local --engine``,
-    ``table3/table4 --engine`` and quick scripts; long-running services
-    hold an :class:`Engine` (or talk to the `repro.engine.daemon`) so
-    the warm state outlives a single campaign.
-    """
-    request = CampaignRequest(
-        driver=driver,
-        mode=mode,
-        fraction=fraction,
-        seed=seed,
-        backend=backend,
-        compile_cache=compile_cache,
-        boot_checkpoint=boot_checkpoint,
-        granularity=checkpoint_granularity,
-        step_budget=step_budget,
-    )
-    with Engine(
-        workers=workers,
-        warm=(request,),
-        scheduler_factory=scheduler_factory,
-        start_method=start_method,
-        supervision=supervision,
-    ) as engine:
-        return engine.run_campaign(request, progress=progress)

@@ -4,29 +4,27 @@
 once, and then answers campaign requests for the life of the process —
 the long-running form of the engine, where the warm state outlives not
 just campaigns but the submitting processes.  :class:`EngineClient` is
-the matching client: submit a :class:`repro.engine.CampaignRequest` (or
-:class:`~repro.engine.SpecRequest`), receive per-mutant results streamed
-in completion order, and get back the same result object — byte for
-byte — that the in-process serial runner would have produced.
+the matching client: submit any campaign request
+(:class:`repro.engine.CampaignRequest`, ``SpecRequest``,
+``ScenarioRequest`` or ``FaultRequest``), receive per-item results
+streamed in completion order, and get back the same result object —
+byte for byte — that the in-process serial runner would have produced.
 
 Wire format: length-prefixed pickle frames, the same trusted-local
 trade-off the distributed shard files make (`repro.serialize`): the
 socket path is the trust boundary, so keep it in a directory only you
-can write.  Client frames are ``("campaign", CampaignRequest)``,
-``("spec-campaign", SpecRequest)``,
-``("fault-campaign", FaultRequest)``,
-``("scenario-campaign", ScenarioRequest)``, ``("ping",)`` and
-``("shutdown",)``;
-the server answers a campaign with a stream of
-``("result", index, MutantResult)`` frames in completion order,
-terminated by ``("done", summary)``.  A campaign that *fails* —
+can write.  Client frames are ``("campaign", request)`` for every
+request type, ``("ping",)`` and ``("shutdown",)``; the server answers a
+campaign with a stream of ``("result", index, row)`` frames in
+completion order, terminated by ``("done", shell)`` — the campaign's
+result object with its ``results`` emptied.  A campaign that *fails* —
 typically the supervised engine exhausting its respawn budget — ends
 the stream with a typed ``("failed", info)`` frame instead, which the
 client raises as :class:`CampaignFailedError` (``info`` names the
 exception type and message); ``("error", message)`` is reserved for
-malformed requests.  The client reassembles the stream by sampled
-index, which is exactly the merge the engine itself performs, so
-daemon round-trips preserve byte-identity.
+malformed requests.  The client fills the shell's ``results`` from the
+stream by sampled index, which is exactly the merge the engine itself
+performs, so daemon round-trips preserve byte-identity.
 
 The serve loop is failure-isolated per connection: a client that
 vanishes mid-stream (``BrokenPipeError``/``ConnectionResetError``
@@ -46,15 +44,7 @@ import struct
 import sys
 import time
 
-from repro.mutation.runner import CampaignResult, DevilCampaignResult
-from repro.faults.campaign import FaultCampaignResult
 from repro.engine.core import Engine, EngineError
-from repro.engine.state import (
-    CampaignRequest,
-    FaultRequest,
-    ScenarioRequest,
-    SpecRequest,
-)
 
 _LENGTH = struct.Struct(">I")
 
@@ -111,84 +101,6 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
-
-
-def _summary_of(campaign) -> dict:
-    """The non-streamed remainder of a result object, for ``done``."""
-    if isinstance(campaign, DevilCampaignResult):
-        return {
-            "kind": "devil",
-            "spec_name": campaign.spec_name,
-            "lines": campaign.lines,
-            "sites": campaign.sites,
-            "enumerated": campaign.enumerated,
-            "quarantine": campaign.quarantine,
-        }
-    if isinstance(campaign, FaultCampaignResult):
-        return {
-            "kind": "fault",
-            "driver": campaign.driver,
-            "mode": campaign.mode,
-            "seed": campaign.seed,
-            "per_dimension": campaign.per_dimension,
-            "injection": campaign.injection,
-            "granularity": campaign.granularity,
-            "dimensions": campaign.dimensions,
-            "clean_steps": campaign.clean_steps,
-            "step_budget": campaign.step_budget,
-            "checkpoint_stats": campaign.checkpoint_stats,
-            "quarantine": campaign.quarantine,
-        }
-    return {
-        "kind": "driver",
-        "driver": campaign.driver,
-        "enumerated": campaign.enumerated,
-        "clean_steps": campaign.clean_steps,
-        "step_budget": campaign.step_budget,
-        "checkpoint_stats": campaign.checkpoint_stats,
-        "quarantine": campaign.quarantine,
-    }
-
-
-def _assemble(summary: dict, indexed_results: list) -> object:
-    """The client-side inverse of streaming: merge by sampled index."""
-    results = [result for _, result in sorted(indexed_results)]
-    if summary["kind"] == "devil":
-        campaign = DevilCampaignResult(
-            spec_name=summary["spec_name"],
-            lines=summary["lines"],
-            sites=summary["sites"],
-            enumerated=summary["enumerated"],
-        )
-        campaign.results = results
-        campaign.quarantine = summary.get("quarantine", ())
-        return campaign
-    if summary["kind"] == "fault":
-        campaign = FaultCampaignResult(
-            driver=summary["driver"],
-            mode=summary["mode"],
-            seed=summary["seed"],
-            per_dimension=summary["per_dimension"],
-            injection=summary["injection"],
-            granularity=summary["granularity"],
-            dimensions=summary["dimensions"],
-            clean_steps=summary["clean_steps"],
-            step_budget=summary["step_budget"],
-        )
-        campaign.results = results
-        campaign.checkpoint_stats = summary["checkpoint_stats"]
-        campaign.quarantine = summary.get("quarantine", ())
-        return campaign
-    campaign = CampaignResult(
-        driver=summary["driver"],
-        enumerated=summary["enumerated"],
-        clean_steps=summary["clean_steps"],
-        step_budget=summary["step_budget"],
-    )
-    campaign.results = results
-    campaign.checkpoint_stats = summary["checkpoint_stats"]
-    campaign.quarantine = summary.get("quarantine", ())
-    return campaign
 
 
 def _claim_socket_path(socket_path: str) -> None:
@@ -323,12 +235,7 @@ def _handle(conn: socket.socket, engine: Engine) -> bool:
         elif op == "shutdown":
             send_frame(conn, ("ok",))
             return False
-        elif op in (
-            "campaign",
-            "spec-campaign",
-            "fault-campaign",
-            "scenario-campaign",
-        ):
+        elif op == "campaign":
             request = frame[1]
             try:
                 campaign = engine.submit(
@@ -355,7 +262,8 @@ def _handle(conn: socket.socket, engine: Engine) -> bool:
                     ),
                 )
                 return True
-            send_frame(conn, ("done", _summary_of(campaign)))
+            campaign.results = []
+            send_frame(conn, ("done", campaign))
         else:
             send_frame(conn, ("error", f"unknown request {op!r}"))
             return True
@@ -403,66 +311,15 @@ class EngineClient:
             send_frame(sock, ("shutdown",))
             recv_frame(sock)
 
-    def run_campaign(
-        self, request: CampaignRequest, on_result=None
-    ) -> CampaignResult:
-        """A driver campaign through the daemon — serial-identical.
+    def submit(self, request, on_result=None):
+        """A campaign through the daemon — serial-identical.
 
-        ``on_result(index, result)`` observes the per-mutant stream in
+        ``on_result(index, result)`` observes the per-item stream in
         completion order (the daemon sends results as workers finish
         them, before the campaign is complete).
         """
-        if not isinstance(request, CampaignRequest):
-            raise EngineError(
-                f"run_campaign takes a CampaignRequest, got {type(request)!r}"
-            )
-        return self._submit("campaign", request, on_result)
-
-    def run_spec_campaign(
-        self, request: SpecRequest, on_result=None
-    ) -> DevilCampaignResult:
-        if not isinstance(request, SpecRequest):
-            raise EngineError(
-                f"run_spec_campaign takes a SpecRequest, "
-                f"got {type(request)!r}"
-            )
-        return self._submit("spec-campaign", request, on_result)
-
-    def run_fault_campaign(
-        self, request: FaultRequest, on_result=None
-    ) -> FaultCampaignResult:
-        """An environment-fault campaign (`repro.faults`) via the daemon."""
-        if not isinstance(request, FaultRequest):
-            raise EngineError(
-                f"run_fault_campaign takes a FaultRequest, "
-                f"got {type(request)!r}"
-            )
-        return self._submit("fault-campaign", request, on_result)
-
-    def run_scenario_campaign(
-        self, request: ScenarioRequest, on_result=None
-    ) -> CampaignResult:
-        """A generated-scenario campaign (`repro.scenarios`) via the daemon."""
-        if not isinstance(request, ScenarioRequest):
-            raise EngineError(
-                f"run_scenario_campaign takes a ScenarioRequest, "
-                f"got {type(request)!r}"
-            )
-        return self._submit("scenario-campaign", request, on_result)
-
-    def submit(self, request, on_result=None):
-        """Dispatch on request type, mirroring ``Engine.submit``."""
-        if isinstance(request, SpecRequest):
-            return self.run_spec_campaign(request, on_result)
-        if isinstance(request, FaultRequest):
-            return self.run_fault_campaign(request, on_result)
-        if isinstance(request, ScenarioRequest):
-            return self.run_scenario_campaign(request, on_result)
-        return self.run_campaign(request, on_result)
-
-    def _submit(self, op: str, request, on_result):
         with self._connect() as sock:
-            send_frame(sock, (op, request))
+            send_frame(sock, ("campaign", request))
             indexed = []
             while True:
                 frame = recv_frame(sock)
@@ -477,7 +334,9 @@ class EngineClient:
                         on_result(index, result)
                     indexed.append((index, result))
                 elif kind == "done":
-                    return _assemble(frame[1], indexed)
+                    campaign = frame[1]
+                    campaign.results = [result for _, result in sorted(indexed)]
+                    return campaign
                 elif kind == "failed":
                     raise CampaignFailedError(frame[1])
                 elif kind == "error":

@@ -10,7 +10,7 @@ and compare how each interface style degrades, dimension by dimension.
 Run with ``python -m repro.experiments.fault_comparison``.  Output is a
 per-dimension markdown table (or the full machine-readable comparison
 with ``--json``).  Deterministic: the same seed and fault budget yield
-byte-identical output, serial, ``--workers N`` or ``--engine N``.
+byte-identical output, serial or ``--workers N``.
 """
 
 from __future__ import annotations
@@ -39,33 +39,21 @@ def run(
     mode: str = "debug",
     injection: str | None = None,
     workers: int = 1,
-    engine: int = 0,
     progress=None,
 ) -> tuple[FaultCampaignResult, FaultCampaignResult]:
     """Both campaigns — ``(c, cdevil)`` — under identical parameters.
 
     Each driver's faults are sampled from *its own* clean-boot access
     profile (the drivers touch the device differently), with the same
-    seed and per-dimension budget.  ``engine`` > 0 runs both campaigns
-    on one warm `repro.engine.Engine` with that many workers; otherwise
-    ``workers`` > 1 uses the per-campaign process pool.
+    seed and per-dimension budget.  ``workers`` > 1 runs each campaign
+    on a supervised `repro.engine.Engine` with that many workers.
     """
-    if workers > 1 and engine:
-        raise ValueError("workers and engine are mutually exclusive")
     kwargs = dict(
         seed=seed,
         per_dimension=per_dimension,
         mode=mode,
         injection=injection,
     )
-    if engine:
-        from repro.engine import Engine
-
-        with Engine(workers=engine) as warm_engine:
-            return (
-                run_fault_campaign("c", engine=warm_engine, **kwargs),
-                run_fault_campaign("cdevil", engine=warm_engine, **kwargs),
-            )
     return (
         run_fault_campaign(
             "c", workers=workers, progress=progress, **kwargs
@@ -110,15 +98,8 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=1,
-        help="per-campaign process pool (result identical to serial)",
-    )
-    parser.add_argument(
-        "--engine",
-        type=int,
-        default=0,
-        metavar="WORKERS",
-        help="run both campaigns on one warm engine with N workers "
-        "(result identical to the serial run)",
+        help="evaluate each campaign on a supervised engine with N "
+        "workers (result identical to serial)",
     )
     parser.add_argument(
         "--json",
@@ -126,15 +107,12 @@ def main(argv: list[str] | None = None) -> int:
         help="print the machine-readable comparison instead of markdown",
     )
     args = parser.parse_args(argv)
-    if args.workers > 1 and args.engine:
-        parser.error("--workers and --engine are mutually exclusive")
     c, devil = run(
         seed=args.seed,
         per_dimension=args.per_dimension,
         mode=args.mode,
         injection=args.injection,
         workers=args.workers,
-        engine=args.engine,
     )
     if args.json:
         print(json.dumps(comparison_dict(c, devil), sort_keys=True, indent=2))

@@ -40,21 +40,15 @@ def run(
     `repro.distributed` (one shard per process, checkpoint plan recorded
     once) and merge to the identical ``CampaignResult`` — the route to
     full-fraction reproductions that outgrow one host.  ``engine`` > 0
-    instead runs the campaign on a warm `repro.engine.Engine` with that
-    many workers (work-stealing over the mutant index space, result
-    identical to serial).  ``progress`` is per-mutant and forwarded on
-    the serial and engine paths; shard processes report completion per
-    shard file, not per mutant, so the shard path does not forward it.
+    instead runs ``run_driver_campaign(workers=engine)``: a supervised
+    `repro.engine.Engine` with that many workers (work-stealing over the
+    mutant index space, result identical to serial).  ``progress`` is
+    per-mutant and forwarded on the serial and engine paths; shard
+    processes report completion per shard file, not per mutant, so the
+    shard path does not forward it.
     """
     if shards > 1 and engine:
         raise ValueError("shards and engine are mutually exclusive")
-    if engine:
-        from repro.engine import run_engine_campaign
-
-        return run_engine_campaign(
-            "c", fraction=fraction, seed=seed, workers=engine,
-            progress=progress,
-        )
     if shards > 1:
         from repro.distributed import sharded_campaign
 
@@ -62,7 +56,8 @@ def run(
             "c", fraction=fraction, seed=seed, shard_count=shards
         )
     return run_driver_campaign(
-        "c", fraction=fraction, seed=seed, progress=progress
+        "c", fraction=fraction, seed=seed, progress=progress,
+        workers=max(engine, 1),
     )
 
 
@@ -91,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="WORKERS",
-        help="run the campaign on a warm engine with N workers "
+        help="run the campaign on a supervised engine with N workers "
         "(work-stealing; result identical to the serial run)",
     )
     parser.add_argument(

@@ -39,19 +39,13 @@ def run(
 ) -> CampaignResult:
     """The Table 4 campaign; ``shards`` > 1 runs it as a sharded campaign
     over local processes (`repro.distributed`), merged to the identical
-    ``CampaignResult``; ``engine`` > 0 runs it on a warm
+    ``CampaignResult``; ``engine`` > 0 runs it as
+    ``run_driver_campaign(workers=engine)``, on a supervised
     `repro.engine.Engine` with that many work-stealing workers (also
     identical).  ``progress`` is per-mutant and forwarded on the serial
     and engine paths (shards report per shard file, not per mutant)."""
     if shards > 1 and engine:
         raise ValueError("shards and engine are mutually exclusive")
-    if engine:
-        from repro.engine import run_engine_campaign
-
-        return run_engine_campaign(
-            "cdevil", mode=mode, fraction=fraction, seed=seed,
-            workers=engine, progress=progress,
-        )
     if shards > 1:
         from repro.distributed import sharded_campaign
 
@@ -60,7 +54,8 @@ def run(
             shard_count=shards,
         )
     return run_driver_campaign(
-        "cdevil", mode=mode, fraction=fraction, seed=seed, progress=progress
+        "cdevil", mode=mode, fraction=fraction, seed=seed, progress=progress,
+        workers=max(engine, 1),
     )
 
 
@@ -92,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="WORKERS",
-        help="run the campaign on a warm engine with N workers "
+        help="run the campaign on a supervised engine with N workers "
         "(work-stealing; result identical to the serial run)",
     )
     parser.add_argument(

@@ -26,6 +26,8 @@ pristine-snapshot boots instead).  Because triggers are absolute access
 indices and restores reinstate the counters, a restored-then-perturbed
 run classifies identically to a cold perturbed run — asserted by tests,
 serial and under ``workers=N`` or a warm `repro.engine.Engine`.
+:class:`FaultTarget` puts a :class:`FaultContext` behind the campaign
+protocol (`repro.mutation.runner.CampaignTarget`) every path runs.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from repro.kernel.checkpoint import (
     BootCheckpoint,
     CheckpointPlan,
     GRANULARITIES,
-    granularity_from_env,
     record_plan,
     resume_boot,
 )
@@ -46,20 +47,15 @@ from repro.kernel.outcomes import BootOutcome
 from repro.hw.machine import standard_pc
 from repro.minic.program import compile_program
 from repro.mutation.runner import (
+    CampaignTarget,
     ProgressFn,
-    _merge_stats,
-    _pool_context,
     _stats_delta,
     assemble_driver,
+    run_request,
 )
 from repro.mutation.sampling import DEFAULT_SEED
 from repro.faults.injector import Fault, FaultInjector
-from repro.faults.plan import (
-    AccessProfile,
-    build_fault_plan,
-    dimensions_from_env,
-    profile_from,
-)
+from repro.faults.plan import AccessProfile, build_fault_plan, profile_from
 
 #: ``"checkpoint"`` (resume from recorded snapshots — the default) or
 #: ``"cold"`` (boot every fault from the pristine snapshot).  Outcomes
@@ -106,7 +102,7 @@ class FaultCampaignResult:
     checkpoint_stats: dict | None = None
     #: Engine-supervision quarantine records
     #: (`repro.engine.supervision.QuarantineRecord`); ``()`` for serial
-    #: and worker-pool runs.
+    #: runs.
     quarantine: tuple = ()
 
     @property
@@ -169,10 +165,9 @@ def checkpoint_for_fault(
 class FaultContext:
     """Everything one process needs to evaluate campaign faults.
 
-    Mirrors `repro.mutation.runner._EvalContext`: built cheap, warmed
-    lazily (and deterministically — every process that warms the same
-    parameters records the identical plan and profile), then reused for
-    every fault of the campaign.
+    Built cheap, warmed once (and deterministically — every process that
+    warms the same parameters records the identical plan and profile),
+    then reused for every fault of the campaign.
     """
 
     driver: str
@@ -313,6 +308,57 @@ class FaultContext:
         )
 
 
+class FaultTarget(CampaignTarget):
+    """A fault campaign behind the campaign protocol: one
+    :class:`FaultContext`, sampled by ``(per_dimension, dimensions)``."""
+
+    row_type = FaultResult
+
+    def __init__(self, context: FaultContext):
+        self.context = context
+
+    def warm(self) -> None:
+        self.context.ensure()
+
+    def tested(self, params, seed: int) -> list[Fault]:
+        per_dimension, dimensions = params
+        return build_fault_plan(
+            self.context.profile,
+            seed,
+            per_dimension=per_dimension,
+            dimensions=dimensions,
+        )
+
+    def evaluate(self, fault: Fault) -> tuple[FaultResult, dict | None]:
+        before = self.context.stats_view()
+        result = self.context.evaluate(fault)
+        return result, _stats_delta(before, self.context.stats_view())
+
+    def describe(self, fault: Fault) -> str:
+        return (
+            f"{fault.dimension}@{fault.channel}:{fault.port}"
+            f"#{fault.index}+{fault.count}"
+        )
+
+    def result(self, request, rows, stats, quarantine) -> FaultCampaignResult:
+        context = self.context
+        per_dimension, dimensions = request.params
+        return FaultCampaignResult(
+            driver=context.driver,
+            mode=context.mode,
+            seed=request.seed,
+            per_dimension=per_dimension,
+            injection=context.injection,
+            granularity=context.granularity,
+            dimensions=dimensions,
+            clean_steps=context.clean_steps,
+            step_budget=context.budget,
+            results=rows,
+            checkpoint_stats=stats,
+            quarantine=quarantine,
+        )
+
+
 def run_fault_campaign(
     driver: str = "c",
     mode: str = "debug",
@@ -333,9 +379,9 @@ def run_fault_campaign(
     boot's access profile (`repro.faults.plan`) and classifies each
     perturbed boot with the standard outcome taxonomy.  Deterministic:
     the same ``(driver, mode, seed, per_dimension, dimensions)`` produce
-    the identical result — serial, ``workers=N`` (process pool, merged
-    by fault index) or ``engine=`` (a warm `repro.engine.Engine`;
-    ``workers`` is then the engine's affair).
+    the identical result — serial, ``workers=N`` (a throwaway supervised
+    engine, merged by fault index) or ``engine=`` (a warm
+    `repro.engine.Engine`; ``workers`` is then the engine's affair).
 
     ``injection`` selects ``"checkpoint"`` (resume each fault from the
     deepest recorded snapshot before its trigger — the default) or
@@ -344,139 +390,17 @@ def run_fault_campaign(
     resolve from ``REPRO_FAULT_INJECTION``, ``REPRO_FAULT_DIMENSIONS``
     and ``REPRO_CHECKPOINT_GRANULARITY``.
     """
-    if injection is None:
-        injection = injection_from_env()
-    if checkpoint_granularity is None:
-        checkpoint_granularity = granularity_from_env()
-    if dimensions is None:
-        dimensions = dimensions_from_env()
-    dimensions = tuple(dimensions)
-    if engine is not None:
-        from repro.engine.state import FaultRequest
+    from repro.engine.state import FaultRequest
 
-        return engine.run_fault_campaign(
-            FaultRequest(
-                driver=driver,
-                mode=mode,
-                seed=seed,
-                per_dimension=per_dimension,
-                dimensions=dimensions,
-                injection=injection,
-                backend=backend,
-                granularity=checkpoint_granularity,
-                step_budget=step_budget,
-            ),
-            progress=progress,
-        )
-    context = FaultContext.build(
-        driver,
-        mode,
-        backend=backend,
-        injection=injection,
-        granularity=checkpoint_granularity,
-        step_budget=step_budget,
-    )
-    context.ensure()
-    faults = build_fault_plan(
-        context.profile, seed, per_dimension=per_dimension, dimensions=dimensions
-    )
-    campaign = FaultCampaignResult(
+    request = FaultRequest(
         driver=driver,
         mode=mode,
         seed=seed,
         per_dimension=per_dimension,
+        dimensions=None if dimensions is None else tuple(dimensions),
         injection=injection,
-        granularity=checkpoint_granularity,
-        dimensions=dimensions,
-        clean_steps=context.clean_steps,
-        step_budget=context.budget,
-    )
-    if workers > 1 and len(faults) > 1:
-        campaign.results, campaign.checkpoint_stats = _evaluate_parallel(
-            context, faults, workers, progress
-        )
-        return campaign
-    for done, fault in enumerate(faults):
-        if progress is not None:
-            progress(done, len(faults))
-        campaign.results.append(context.evaluate(fault))
-    campaign.checkpoint_stats = context.stats_view()
-    return campaign
-
-
-# -- parallel evaluation -------------------------------------------------------
-
-#: Per-process fault context, built once by the pool initialiser
-#: (deterministic, so every worker warms the identical plan/profile).
-_FAULT_WORKER_CONTEXT: FaultContext | None = None
-
-
-def _fault_worker_init(
-    driver: str,
-    mode: str,
-    backend: str | None,
-    injection: str,
-    granularity: str,
-    step_budget: int | None,
-) -> None:
-    global _FAULT_WORKER_CONTEXT
-    _FAULT_WORKER_CONTEXT = FaultContext.build(
-        driver,
-        mode,
         backend=backend,
-        injection=injection,
-        granularity=granularity,
+        granularity=checkpoint_granularity,
         step_budget=step_budget,
     )
-
-
-def _fault_worker_eval(
-    item: tuple[int, Fault],
-) -> tuple[int, FaultResult, dict | None]:
-    index, fault = item
-    context = _FAULT_WORKER_CONTEXT
-    assert context is not None
-    before = context.stats_view()
-    result = context.evaluate(fault)
-    return index, result, _stats_delta(before, context.stats_view())
-
-
-def _evaluate_parallel(
-    context: FaultContext,
-    faults: list[Fault],
-    workers: int,
-    progress: ProgressFn | None,
-) -> tuple[list[FaultResult], dict | None]:
-    """Fan faults out over a process pool, merging by fault index.
-
-    Each evaluation is independent and deterministic, so ``workers=N``
-    equals ``workers=1`` result-for-result and the per-fault checkpoint
-    counter deltas sum to the serial totals in any completion order.
-    """
-    pool_context = _pool_context()
-    worker_count = min(workers, len(faults))
-    results: list[FaultResult | None] = [None] * len(faults)
-    stats: dict | None = None
-    with pool_context.Pool(
-        worker_count,
-        initializer=_fault_worker_init,
-        initargs=(
-            context.driver,
-            context.mode,
-            context.backend,
-            context.injection,
-            context.granularity,
-            context.step_budget,
-        ),
-    ) as pool:
-        completed = 0
-        for index, result, delta in pool.imap_unordered(
-            _fault_worker_eval, list(enumerate(faults))
-        ):
-            results[index] = result
-            stats = _merge_stats(stats, delta)
-            if progress is not None:
-                progress(completed, len(faults))
-            completed += 1
-    assert all(result is not None for result in results)
-    return results, stats  # type: ignore[return-value]
+    return run_request(request, workers, engine, progress)

@@ -2,10 +2,16 @@
 
 ``run_driver_campaign`` reproduces the paper's §4.2 experiment for either
 driver; ``run_devil_campaign`` reproduces §4.1 for a specification.  Both
-are deterministic under a seed — including under parallel execution:
-``workers=N`` fans mutant evaluation out over a process pool and merges
-``MutantResult``s back by mutant index, so any worker count produces the
-same `CampaignResult` as the serial fallback (``workers=1``).
+are deterministic under a seed — including under parallel execution.
+
+Every campaign kind — driver and scenario mutants, environment faults
+(`repro.faults`), Devil specs — is a :class:`CampaignTarget`: warmed
+once, then asked for its sampled items and for one item's row at a
+time.  :func:`evaluate_serial` is the one serial loop over a target;
+``workers=N`` submits the campaign's request to a throwaway supervised
+`repro.engine.Engine` (:func:`run_request`), whose workers run the same
+target methods and merge rows back by sampled index, so any worker
+count produces the same result as ``workers=1``.
 
 Per-mutant cost is kept low by two campaign-scoped optimisations, both
 individually defeatable for reference runs:
@@ -20,8 +26,6 @@ individually defeatable for reference runs:
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -37,6 +41,7 @@ from repro.drivers import (
 )
 from repro.hw.machine import standard_pc
 from repro.kernel.checkpoint import (
+    GRANULARITIES,
     CheckpointPlan,
     changed_lines_of,
     checkpoint_for_mutant,
@@ -46,6 +51,7 @@ from repro.kernel.checkpoint import (
     pinned_granularity,
     record_plan,
     resume_boot,
+    save_plan,
 )
 from repro.kernel.kernel import DEFAULT_STEP_BUDGET, boot
 from repro.kernel.outcomes import BootOutcome
@@ -88,7 +94,7 @@ class CampaignResult:
     #: (`repro.engine.supervision.QuarantineRecord`): mutants whose
     #: evaluation repeatably killed a fresh worker, reported as
     #: ``WORKER_CRASH`` rows in ``results``.  Always ``()`` for serial
-    #: and worker-pool runs (the mutant executes in-process there).
+    #: runs (the mutant executes in-process there).
     quarantine: tuple = ()
 
     @property
@@ -265,118 +271,163 @@ def cdevil_api_pools(
     return classes
 
 
+# -- the campaign protocol ------------------------------------------------------
+
+
+class CampaignTarget:
+    """One campaign kind behind the protocol every evaluation path drives.
+
+    A target is built cold; :meth:`warm` then builds its resident state
+    (checkpoint plan, access profile) once.  After that it answers
+    :meth:`tested` (the sampled items for ``(params, seed)``),
+    :meth:`evaluate` (one item's row and checkpoint-counter delta),
+    :meth:`crash_row` and :meth:`describe` (a quarantined item's row and
+    name) and :meth:`result` (the campaign result object).  The serial
+    loop (:func:`evaluate_serial`) and the engine's workers
+    (`repro.engine`) call only these methods, so every path produces the
+    same rows.
+    """
+
+    #: The result-row class, built as ``row_type(item, outcome, detail)``.
+    row_type = MutantResult
+
+    def warm(self) -> None:
+        """Build the resident state before the first item; idempotent."""
+
+    def tested(self, params, seed: int) -> list:
+        raise NotImplementedError
+
+    def evaluate(self, item) -> tuple[object, dict | None]:
+        raise NotImplementedError
+
+    def result(self, request, rows: list, stats: dict | None, quarantine):
+        raise NotImplementedError
+
+    def describe(self, item) -> str:
+        return item.mutant_id
+
+    def crash_row(self, item, kind: str, attempts: int):
+        """The ``WORKER_CRASH`` row of an item the engine quarantined after
+        it killed (``kind="crash"``) or wedged (``kind="hang"``)
+        ``attempts`` fresh workers in a row."""
+        if kind == "hang":
+            detail = (
+                f"quarantined: wedged {attempts} fresh workers past "
+                "the lease timeout"
+            )
+        else:
+            detail = f"quarantined: crashed {attempts} fresh workers"
+        return self.row_type(item, BootOutcome.WORKER_CRASH, detail)
+
+    def export_plan(self, path: str) -> str | None:
+        """Save the warmed checkpoint plan to ``path`` for workers warmed
+        later; ``None`` when the target has no portable plan."""
+        return None
+
+
+def _stats_delta(before: dict | None, after: dict | None) -> dict | None:
+    """One item's increment of the checkpoint counters (``None`` when the
+    item never booted, e.g. a compile-time detection)."""
+    if after is None:
+        return None
+    before = before or {}
+    delta = {key: value - before.get(key, 0) for key, value in after.items()}
+    return delta if any(delta.values()) else None
+
+
+def _merge_stats(total: dict | None, delta: dict | None) -> dict | None:
+    if delta is None:
+        return total
+    if total is None:
+        total = {}
+    for key, value in delta.items():
+        total[key] = total.get(key, 0) + value
+    return total
+
+
+def evaluate_serial(
+    target: CampaignTarget, items, progress: ProgressFn | None = None
+) -> tuple[list, dict | None]:
+    """The serial campaign loop: warm ``target``, evaluate ``items`` in order.
+
+    Returns the rows and the summed checkpoint-counter deltas (``None``
+    when no item booted) — the same sum the engine merges from its
+    workers, so serial and parallel statistics agree by construction.
+    """
+    target.warm()
+    rows: list = []
+    stats: dict | None = None
+    total = len(items)
+    for done, item in enumerate(items):
+        if progress is not None:
+            progress(done, total)
+        row, delta = target.evaluate(item)
+        rows.append(row)
+        stats = _merge_stats(stats, delta)
+    return rows, stats
+
+
+def run_request(
+    request, workers: int = 1, engine=None, progress: ProgressFn | None = None
+):
+    """Run one campaign request (`repro.engine` request types) end to end.
+
+    Serially in-process by default.  ``engine`` submits it to a warm
+    `repro.engine.Engine`; otherwise ``workers`` > 1 submits it to a
+    throwaway supervised engine with that many workers, closed before
+    returning — a worker that dies is respawned and its lease
+    re-dispatched, so a lost process cannot hang the campaign.  Every
+    path returns the identical result.
+    """
+    if engine is None and workers > 1:
+        from repro.engine.core import Engine
+
+        engine = Engine(workers=workers, warm=(request,))
+        try:
+            return engine.submit(request, progress=progress)
+        finally:
+            engine.close()
+    if engine is not None:
+        return engine.submit(request, progress=progress)
+    target = request.warm_spec().target()
+    items = target.tested(request.params, request.seed)
+    rows, stats = evaluate_serial(target, items, progress)
+    return target.result(request, rows, stats, ())
+
+
 # -- driver campaigns -------------------------------------------------------------
 
 
-@dataclass
-class _EvalContext:
-    """Everything one process needs to evaluate campaign mutants."""
+class KernelHarness:
+    """How a bundled driver boots: a standard PC through `repro.kernel.boot`.
 
-    source: str
-    driver_filename: str
-    registry: dict[str, str]
-    budget: int
-    backend: str | None
-    compiler: CampaignCompiler | None
-    checkpoint: bool = False
-    #: Checkpoint granularity ("call" or "subcall"; see
-    #: `repro.kernel.checkpoint`).
-    granularity: str = "subcall"
-    #: Portable checkpoint plan to load instead of recording in-process
-    #: (`repro.kernel.checkpoint.save_plan` format) — the distributed
-    #: runner's path: the instrumented clean boot runs once and ships to
-    #: every shard.
-    plan_path: str | None = None
-    #: Whether ``granularity`` was requested explicitly (parameter or
-    #: environment override) rather than defaulted: a loaded plan's
-    #: granularity must then match instead of being adopted.
-    granularity_pinned: bool = False
-    #: Lazily built per process (deterministic, so every worker records
-    #: the identical plan): the instrumented clean boot's checkpoints,
-    #: plus one reusable machine and its pristine snapshot.
-    _plan: CheckpointPlan | None = None
-    _machine: object = None
-    _pristine: object = None
+    :class:`MutantTarget` boots mutants through a harness — a fresh
+    ``machine()``, a cold ``boot``, the checkpoint ``factory`` (the
+    ``harness_factory`` of `repro.kernel.checkpoint`; ``None`` is the
+    kernel's own) and the ``plan_budget`` plans record under — so
+    drivers and generated scenarios
+    (`repro.scenarios.campaign.ScenarioHarness`) share one evaluation
+    path.
+    """
 
-    @classmethod
-    def build(
-        cls,
-        source: str,
-        driver_filename: str,
-        registry: dict[str, str],
-        budget: int,
-        backend: str | None,
-        compile_cache: bool,
-        checkpoint: bool = False,
-        granularity: str = "subcall",
-        compiler: CampaignCompiler | None = None,
-        plan_path: str | None = None,
-        granularity_pinned: bool = False,
-    ) -> "_EvalContext":
-        if compile_cache and compiler is None:
-            compiler = CampaignCompiler(driver_filename, source, registry)
-        if not compile_cache:
-            compiler = None
-        return cls(
-            source=source,
-            driver_filename=driver_filename,
-            registry=registry,
-            budget=budget,
-            backend=backend,
-            compiler=compiler,
-            checkpoint=checkpoint,
-            granularity=granularity,
-            plan_path=plan_path,
-            granularity_pinned=granularity_pinned,
-        )
+    factory = None
+    #: Plans record under the default budget, not a campaign's, so one
+    #: portable plan serves every campaign of the driver.
+    plan_budget = DEFAULT_STEP_BUDGET
 
-    def ensure_plan(self) -> CheckpointPlan:
-        if self._plan is None:
-            self._machine = standard_pc(with_busmouse=False)
-            self._pristine = self._machine.snapshot()
-            if self.plan_path is not None:
-                self._plan = load_plan(
-                    self.plan_path,
-                    source=self.source,
-                    driver_filename=self.driver_filename,
-                    granularity=(
-                        self.granularity if self.granularity_pinned else None
-                    ),
-                    step_budget=DEFAULT_STEP_BUDGET,
-                )
-                # Adopt the plan's recorded granularity so the stats and
-                # mapping rules match what is actually on disk.
-                self.granularity = self._plan.granularity
-            else:
-                if self.compiler is not None:
-                    baseline = self.compiler.baseline_program
-                else:
-                    baseline = compile_program(
-                        [SourceFile(self.driver_filename, self.source)],
-                        self.registry,
-                    )
-                self._plan = record_plan(
-                    baseline,
-                    self._machine,
-                    DEFAULT_STEP_BUDGET,
-                    backend=self.backend,
-                    granularity=self.granularity,
-                )
-            if self._plan.report.outcome is not BootOutcome.BOOT:
-                raise RuntimeError(
-                    "checkpoint recording requires a clean baseline boot: "
-                    f"{self._plan.report}"
-                )
-        return self._plan
+    def machine(self):
+        return standard_pc(with_busmouse=False)
 
-    def stats_view(self) -> dict | None:
-        """Current checkpoint counters, or ``None`` before any boot."""
-        return dict(self._plan.stats) if self._plan is not None else None
+    def boot(self, program, machine, step_budget: int, backend: str | None):
+        return boot(program, machine, step_budget=step_budget, backend=backend)
+
+
+KERNEL_HARNESS = KernelHarness()
 
 
 @dataclass
 class CampaignSetup:
-    """The deterministic front half of a driver campaign.
+    """The deterministic front half of a mutation campaign.
 
     Everything up to (and including) mutant enumeration, sampling and
     the baseline boot — derived from ``(driver, mode, fraction, seed)``
@@ -384,8 +435,11 @@ class CampaignSetup:
     same arguments sees the identical ``tested`` list.  This is what
     makes multi-host sharding coordination-free: a shard derives its own
     mutant slice from the shared parameters (`repro.distributed`).
+    Generated scenarios build the same setup with their own ``harness``
+    (`repro.scenarios.campaign.prepare_scenario_campaign`).
     """
 
+    #: The result label: ``"c"``, ``"cdevil"`` or ``"scenario:<id>"``.
     driver: str
     mode: str
     fraction: float
@@ -399,6 +453,7 @@ class CampaignSetup:
     clean_steps: int
     budget: int
     compiler: CampaignCompiler | None = None
+    harness: object = KERNEL_HARNESS
 
     @property
     def enumerated(self) -> int:
@@ -446,7 +501,7 @@ def prepare_campaign(
 
     source = files[0].text
     # One incremental compiler serves both the enumeration gate and the
-    # serial evaluation loop (workers build their own per process).
+    # evaluation loop.
     campaign_compiler = (
         CampaignCompiler(driver_filename, source, registry)
         if compile_cache
@@ -483,6 +538,183 @@ def prepare_campaign(
     )
 
 
+class MutantTarget(CampaignTarget):
+    """Source mutants of a driver or scenario, compiled and booted.
+
+    Each mutant is spliced into the setup's source, compiled (through
+    the incremental compiler unless ``compile_cache=False``) and booted
+    on the setup's harness.  With ``boot_checkpoint`` the boot starts
+    from the deepest checkpoint provably before the mutant's first
+    divergent step; :meth:`warm` records the plan (or loads
+    ``plan_path``, a `repro.kernel.checkpoint.save_plan` file), plus
+    one reusable machine and its pristine snapshot.
+    """
+
+    def __init__(
+        self,
+        setup: CampaignSetup,
+        backend: str | None = None,
+        compile_cache: bool = True,
+        boot_checkpoint: bool = False,
+        granularity: str = "subcall",
+        granularity_pinned: bool = False,
+        plan_path: str | None = None,
+    ):
+        self.setup = setup
+        self.backend = backend
+        self.compiler = setup.compiler if compile_cache else None
+        if compile_cache and self.compiler is None:
+            self.compiler = CampaignCompiler(
+                setup.driver_filename, setup.source, setup.registry
+            )
+        self.boot_checkpoint = boot_checkpoint
+        self.granularity = granularity
+        #: Whether ``granularity`` was requested explicitly (parameter or
+        #: environment override): a loaded plan's granularity must then
+        #: match instead of being adopted.
+        self.granularity_pinned = granularity_pinned
+        self.plan_path = plan_path
+        self.plan: CheckpointPlan | None = None
+        self._machine = None
+        self._pristine = None
+
+    def warm(self) -> None:
+        if not self.boot_checkpoint or self.plan is not None:
+            return
+        setup, harness = self.setup, self.setup.harness
+        self._machine = harness.machine()
+        self._pristine = self._machine.snapshot()
+        if self.plan_path is not None:
+            self.plan = load_plan(
+                self.plan_path,
+                source=setup.source,
+                driver_filename=setup.driver_filename,
+                granularity=self.granularity if self.granularity_pinned else None,
+                step_budget=harness.plan_budget,
+            )
+            # Adopt the plan's recorded granularity so the stats and
+            # mapping rules match what is actually on disk.
+            self.granularity = self.plan.granularity
+        else:
+            if self.compiler is not None:
+                baseline = self.compiler.baseline_program
+            else:
+                baseline = compile_program(
+                    [SourceFile(setup.driver_filename, setup.source)],
+                    setup.registry,
+                )
+            self.plan = record_plan(
+                baseline,
+                self._machine,
+                harness.plan_budget,
+                backend=self.backend,
+                granularity=self.granularity,
+                harness_factory=harness.factory,
+            )
+        if self.plan.report.outcome is not BootOutcome.BOOT:
+            raise RuntimeError(
+                "checkpoint recording requires a clean baseline boot: "
+                f"{self.plan.report}"
+            )
+
+    def tested(self, fraction: float, seed: int) -> list[Mutant]:
+        return sample_mutants(self.setup.mutants, fraction, seed)
+
+    def evaluate(self, mutant: Mutant) -> tuple[MutantResult, dict | None]:
+        before = self._stats()
+        return self._run_one(mutant), _stats_delta(before, self._stats())
+
+    def result(self, request, rows, stats, quarantine) -> CampaignResult:
+        setup = self.setup
+        return CampaignResult(
+            driver=setup.driver,
+            enumerated=setup.enumerated,
+            results=rows,
+            clean_steps=setup.clean_steps,
+            step_budget=setup.budget,
+            checkpoint_stats=stats,
+            quarantine=quarantine,
+        )
+
+    def export_plan(self, path: str) -> str | None:
+        if self.plan is None:
+            return None
+        save_plan(self.plan, path, self.setup.source, self.setup.driver_filename)
+        return path
+
+    def _stats(self) -> dict | None:
+        return dict(self.plan.stats) if self.plan is not None else None
+
+    def _run_one(self, mutant: Mutant) -> MutantResult:
+        setup = self.setup
+        mutated = mutant.apply(setup.source)
+        try:
+            if self.compiler is not None:
+                program = self.compiler.compile_variant(mutated)
+            else:
+                program = compile_program(
+                    [SourceFile(setup.driver_filename, mutated)], setup.registry
+                )
+        except CompileError as error:
+            return MutantResult(
+                mutant=mutant,
+                outcome=BootOutcome.COMPILE_CHECK,
+                detail=error.diagnostics[0].code if error.diagnostics else "error",
+            )
+        if self.boot_checkpoint:
+            report = self._checkpointed_boot(program, mutant)
+        else:
+            harness = setup.harness
+            report = harness.boot(
+                program, harness.machine(), setup.budget, self.backend
+            )
+        outcome = report.outcome
+        if outcome is BootOutcome.BOOT:
+            site_line = (mutant.site.file, mutant.site.line)
+            if site_line not in report.coverage:
+                outcome = BootOutcome.DEAD_CODE
+        return MutantResult(mutant=mutant, outcome=outcome, detail=report.detail)
+
+    def _checkpointed_boot(self, program, mutant: Mutant):
+        """Boot a mutant from the deepest provably-safe checkpoint.
+
+        Outcome fidelity: both paths below are bit-identical to a cold
+        ``harness.boot`` on a fresh machine —
+
+        * resumption restores the exact machine/interpreter/sequence
+          state the mutant itself would reach at that boundary (see
+          ``repro.kernel.checkpoint``), and cold boots reinstate the
+          pristine machine snapshot, observably equal to a fresh machine;
+        * boots run on the ``hybrid`` backend (bit-identical semantics to
+          every other backend, asserted by the differential suite),
+          which avoids the per-mutant Python-``compile`` emission for
+          loop-free mutated functions while keeping the source backend's
+          loop speed — unless the campaign pinned ``tree``.
+        """
+        plan, machine, harness = self.plan, self._machine, self.setup.harness
+        checkpoint = None
+        lines = changed_lines_of(mutant.site, mutant.replacement)
+        if lines is not None:
+            checkpoint = checkpoint_for_mutant(plan, lines)
+        backend = "hybrid" if self.backend != "tree" else "tree"
+        if checkpoint is not None:
+            plan.stats["resumed"] += 1
+            if checkpoint.subcall:
+                plan.stats["resumed_subcall"] += 1
+            plan.stats["steps_skipped"] += checkpoint.steps
+            return resume_boot(
+                program,
+                checkpoint,
+                machine,
+                self.setup.budget,
+                backend=backend,
+                harness_factory=harness.factory,
+            )
+        plan.stats["cold"] += 1
+        machine.restore(self._pristine)
+        return harness.boot(program, machine, self.setup.budget, backend)
+
+
 def shard_indices(total: int, shard_index: int, shard_count: int) -> range:
     """The sampled-mutant indices shard ``shard_index`` evaluates.
 
@@ -513,14 +745,21 @@ def evaluate_campaign(
     workers: int = 1,
     progress: ProgressFn | None = None,
 ) -> tuple[list[MutantResult], dict | None]:
-    """Evaluate ``setup.tested[i]`` for each ``i`` in ``indices``.
+    """Evaluate ``setup.tested[i]`` for each ``i`` in ``indices``, serially.
 
-    Results come back ordered by sampled-mutant index (the order the
-    serial full campaign would produce them in), with the summed
-    checkpoint counters.  This is the campaign loop both the classic
-    runner and the shard runner drive — the only difference is which
-    index subset they pass.
+    Results come back in ``indices`` order (sampled order for the whole
+    campaign or a shard's stride), with the summed checkpoint counters.
+    This is the loop both the classic runner and the shard runner
+    drive — the only difference is which index subset they pass.  An
+    index subset runs in this process only: ``workers`` > 1 raises (the
+    parallel form is ``run_driver_campaign(workers=N)``, and shards
+    parallelise across processes).
     """
+    if workers > 1:
+        raise ValueError(
+            "evaluate_campaign runs serially; use "
+            "run_driver_campaign(workers=N) or shards for parallelism"
+        )
     indices = list(indices)
     for index in indices:
         if not 0 <= index < len(setup.tested):
@@ -528,38 +767,18 @@ def evaluate_campaign(
                 f"mutant index {index} outside sampled range "
                 f"[0, {len(setup.tested)})"
             )
-    if workers > 1 and len(indices) > 1:
-        return _evaluate_parallel(
-            setup,
-            indices,
-            backend,
-            compile_cache,
-            boot_checkpoint,
-            checkpoint_granularity,
-            granularity_pinned,
-            checkpoint_plan,
-            workers,
-            progress,
-        )
-    context = _EvalContext.build(
-        setup.source,
-        setup.driver_filename,
-        setup.registry,
-        setup.budget,
+    target = MutantTarget(
+        setup,
         backend,
         compile_cache,
-        checkpoint=boot_checkpoint,
-        granularity=checkpoint_granularity,
-        compiler=setup.compiler,
-        plan_path=checkpoint_plan,
-        granularity_pinned=granularity_pinned,
+        boot_checkpoint,
+        checkpoint_granularity,
+        granularity_pinned,
+        checkpoint_plan,
     )
-    results = []
-    for done, index in enumerate(indices):
-        if progress is not None:
-            progress(done, len(indices))
-        results.append(_run_one(setup.tested[index], context))
-    return results, context.stats_view()
+    return evaluate_serial(
+        target, [setup.tested[index] for index in indices], progress
+    )
 
 
 def resolve_checkpoint_options(
@@ -569,15 +788,24 @@ def resolve_checkpoint_options(
 ) -> tuple[bool, str, bool]:
     """Resolve a campaign's checkpoint knobs against the environment.
 
-    Returns ``(boot_checkpoint, granularity, granularity_pinned)``.  The
-    environment is consulted lazily — only when the caller left a knob
-    unset, and the granularity env value is validated only when
+    Returns ``(boot_checkpoint, granularity, granularity_pinned)``.  An
+    explicitly passed unknown granularity raises ``ValueError`` at once.
+    The environment is consulted lazily — only when the caller left a
+    knob unset, and the granularity env value is validated only when
     checkpointing is actually on, so a stale ``REPRO_CHECKPOINT_*``
     value cannot abort (or pin anything on) a non-checkpointed
-    campaign.  A ``checkpoint_plan`` path implies checkpointing.  Shared
-    by the driver, engine and scenario campaign entry points so every
-    seam resolves identically.
+    campaign.  A ``checkpoint_plan`` path implies checkpointing.  The one
+    resolver behind every mutant-campaign path — serial, shards,
+    ``workers=N``, the engine and the daemon.
     """
+    if (
+        checkpoint_granularity is not None
+        and checkpoint_granularity not in GRANULARITIES
+    ):
+        raise ValueError(
+            f"unknown checkpoint granularity {checkpoint_granularity!r}; "
+            f"available: {', '.join(GRANULARITIES)}"
+        )
     if checkpoint_plan is not None:
         if boot_checkpoint is None:
             boot_checkpoint = True
@@ -615,15 +843,16 @@ def run_driver_campaign(
 ) -> CampaignResult:
     """Mutation campaign against a driver (Table 3: "c"; Table 4: "cdevil").
 
-    ``workers`` > 1 evaluates mutants on a process pool; results are
-    merged by mutant index, so the outcome is identical to a serial run.
-    ``backend``/``compile_cache`` select the execution backend and the
-    incremental compiler (defaults: fast paths).  ``boot_checkpoint``
-    starts each mutant from the deepest boot checkpoint provably before
-    its first divergent step instead of from power-on (bit-identical
-    outcomes; default: the ``REPRO_BOOT_CHECKPOINT`` environment
-    variable).  ``checkpoint_granularity`` selects ``"subcall"`` (the
-    default: resume inside driver calls too) or ``"call"`` (PR 3's call
+    ``workers`` > 1 evaluates mutants on a throwaway supervised
+    `repro.engine.Engine`; results merge by mutant index, so the outcome
+    is identical to a serial run.  ``backend``/``compile_cache`` select
+    the execution backend and the incremental compiler (defaults: fast
+    paths).  ``boot_checkpoint`` starts each mutant from the deepest boot
+    checkpoint provably before its first divergent step instead of from
+    power-on (bit-identical outcomes; default: the
+    ``REPRO_BOOT_CHECKPOINT`` environment variable).
+    ``checkpoint_granularity`` selects ``"subcall"`` (the default:
+    resume inside driver calls too) or ``"call"`` (PR 3's call
     boundaries only); the ``REPRO_CHECKPOINT_GRANULARITY`` environment
     variable overrides the default.
 
@@ -640,37 +869,37 @@ def run_driver_campaign(
     `repro.engine.Engine` instead of building setup state here —
     identical results, with the fixed setup cost amortised across every
     campaign the engine serves.  ``workers`` is then the engine's
-    affair, and ``shard``/``checkpoint_plan`` (per-process seams the
-    engine subsumes) are rejected.
+    affair.  ``shard`` and ``checkpoint_plan`` are serial, per-process
+    seams: combining either with ``engine`` or ``workers`` > 1 raises.
     """
-    if engine is not None:
-        if shard is not None:
-            raise ValueError("engine and shard are mutually exclusive")
-        if checkpoint_plan is not None:
-            raise ValueError(
-                "engine and checkpoint_plan are mutually exclusive"
-            )
-        from repro.engine.state import CampaignRequest
-
-        return engine.run_campaign(
-            CampaignRequest(
-                driver=driver,
-                mode=mode,
-                fraction=fraction,
-                seed=seed,
-                backend=backend,
-                compile_cache=compile_cache,
-                boot_checkpoint=boot_checkpoint,
-                granularity=checkpoint_granularity,
-                step_budget=step_budget,
-            ),
-            progress=progress,
-        )
-    boot_checkpoint, checkpoint_granularity, granularity_pinned = (
+    boot_checkpoint_on, granularity, granularity_pinned = (
         resolve_checkpoint_options(
             boot_checkpoint, checkpoint_granularity, checkpoint_plan
         )
     )
+    if engine is not None or workers > 1:
+        for name, value in (
+            ("shard", shard), ("checkpoint_plan", checkpoint_plan)
+        ):
+            if value is not None:
+                raise ValueError(
+                    f"{name} runs serially: it cannot combine with "
+                    "engine= or workers > 1"
+                )
+        from repro.engine.state import CampaignRequest
+
+        request = CampaignRequest(
+            driver=driver,
+            mode=mode,
+            fraction=fraction,
+            seed=seed,
+            backend=backend,
+            compile_cache=compile_cache,
+            boot_checkpoint=boot_checkpoint,
+            granularity=checkpoint_granularity,
+            step_budget=step_budget,
+        )
+        return run_request(request, workers, engine, progress)
     setup = prepare_campaign(
         driver,
         mode,
@@ -696,226 +925,67 @@ def run_driver_campaign(
         indices,
         backend=backend,
         compile_cache=compile_cache,
-        boot_checkpoint=boot_checkpoint,
-        checkpoint_granularity=checkpoint_granularity,
+        boot_checkpoint=boot_checkpoint_on,
+        checkpoint_granularity=granularity,
         granularity_pinned=granularity_pinned,
         checkpoint_plan=checkpoint_plan,
-        workers=workers,
         progress=progress,
     )
     return campaign
 
 
-def _run_one(mutant: Mutant, context: _EvalContext) -> MutantResult:
-    mutated = mutant.apply(context.source)
-    try:
-        if context.compiler is not None:
-            program = context.compiler.compile_variant(mutated)
-        else:
-            program = compile_program(
-                [SourceFile(context.driver_filename, mutated)], context.registry
-            )
-    except CompileError as error:
-        return MutantResult(
-            mutant=mutant,
-            outcome=BootOutcome.COMPILE_CHECK,
-            detail=error.diagnostics[0].code if error.diagnostics else "error",
-        )
-    if context.checkpoint:
-        report = _checkpointed_boot(program, mutant, context)
-    else:
-        report = boot(
-            program,
-            standard_pc(with_busmouse=False),
-            step_budget=context.budget,
-            backend=context.backend,
-        )
-    outcome = report.outcome
-    if outcome is BootOutcome.BOOT:
-        site_line = (mutant.site.file, mutant.site.line)
-        if site_line not in report.coverage:
-            outcome = BootOutcome.DEAD_CODE
-    return MutantResult(mutant=mutant, outcome=outcome, detail=report.detail)
-
-
-def _checkpointed_boot(program, mutant: Mutant, context: _EvalContext):
-    """Boot a mutant from the deepest provably-safe checkpoint.
-
-    Outcome fidelity: both paths below are bit-identical to
-    ``boot(program, standard_pc(with_busmouse=False), context.budget,
-    context.backend)`` —
-
-    * resumption restores the exact machine/interpreter/kernel state the
-      mutant itself would reach at that boundary (see
-      ``repro.kernel.checkpoint``), and cold boots reinstate the
-      pristine machine snapshot, observably equal to a fresh machine;
-    * boots run on the ``hybrid`` backend (bit-identical semantics to
-      every other backend, asserted by the differential suite), which
-      avoids the per-mutant Python-``compile`` emission for loop-free
-      mutated functions while keeping the source backend's loop speed.
-    """
-    plan = context.ensure_plan()
-    machine = context._machine
-    checkpoint = None
-    lines = changed_lines_of(mutant.site, mutant.replacement)
-    if lines is not None:
-        checkpoint = checkpoint_for_mutant(plan, lines)
-    backend = "hybrid" if context.backend != "tree" else "tree"
-    if checkpoint is not None:
-        plan.stats["resumed"] += 1
-        if checkpoint.subcall:
-            plan.stats["resumed_subcall"] += 1
-        plan.stats["steps_skipped"] += checkpoint.steps
-        return resume_boot(
-            program, checkpoint, machine, context.budget, backend=backend
-        )
-    plan.stats["cold"] += 1
-    machine.restore(context._pristine)
-    return boot(program, machine, step_budget=context.budget, backend=backend)
-
-
-# -- parallel evaluation -------------------------------------------------------
-
-#: Per-process evaluation context, built once by the pool initialiser.
-_WORKER_CONTEXT: _EvalContext | None = None
-
-
-def _worker_init(
-    source: str,
-    driver_filename: str,
-    registry: dict[str, str],
-    budget: int,
-    backend: str | None,
-    compile_cache: bool,
-    checkpoint: bool = False,
-    granularity: str = "subcall",
-    plan_path: str | None = None,
-    granularity_pinned: bool = False,
-) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = _EvalContext.build(
-        source,
-        driver_filename,
-        registry,
-        budget,
-        backend,
-        compile_cache,
-        checkpoint=checkpoint,
-        granularity=granularity,
-        plan_path=plan_path,
-        granularity_pinned=granularity_pinned,
-    )
-
-
-def _stats_delta(before: dict | None, after: dict | None) -> dict | None:
-    """Per-mutant increment of the checkpoint counters (``None`` when the
-    mutant never booted, e.g. a compile-time detection)."""
-    if after is None:
-        return None
-    if before is None:
-        return dict(after)
-    delta = {key: value - before.get(key, 0) for key, value in after.items()}
-    return delta if any(delta.values()) else None
-
-
-def _merge_stats(total: dict | None, delta: dict | None) -> dict | None:
-    if delta is None:
-        return total
-    if total is None:
-        total = {}
-    for key, value in delta.items():
-        total[key] = total.get(key, 0) + value
-    return total
-
-
-def _pool_context(start_method: str | None = None):
-    """The multiprocessing context campaign worker pools run under.
-
-    ``start_method`` (or the ``REPRO_MP_START_METHOD`` environment
-    variable) forces a start method; otherwise ``fork`` is used where
-    the platform provides it, with ``spawn`` as the portable fallback.
-    Campaign results are identical under either method: ``spawn``
-    re-randomizes each worker's interpreter hash seed, which the
-    CRC32-keyed address mapping makes irrelevant to outcomes.
-    """
-    method = start_method or os.environ.get("REPRO_MP_START_METHOD")
-    if method:
-        return multiprocessing.get_context(method)
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        return multiprocessing.get_context("spawn")
-
-
-def _worker_eval(
-    item: tuple[int, Mutant],
-) -> tuple[int, MutantResult, dict | None]:
-    index, mutant = item
-    context = _WORKER_CONTEXT
-    assert context is not None
-    before = context.stats_view()
-    result = _run_one(mutant, context)
-    return index, result, _stats_delta(before, context.stats_view())
-
-
-def _evaluate_parallel(
-    setup: CampaignSetup,
-    indices: list[int],
-    backend: str | None,
-    compile_cache: bool,
-    boot_checkpoint: bool,
-    checkpoint_granularity: str,
-    granularity_pinned: bool,
-    checkpoint_plan: str | None,
-    workers: int,
-    progress: ProgressFn | None,
-) -> tuple[list[MutantResult], dict | None]:
-    """Evaluate the indexed mutants on a process pool, merging by index.
-
-    Each mutant evaluation is independent and deterministic, so the merge
-    is seed-stable: ``workers=N`` equals ``workers=1`` result-for-result,
-    and the per-mutant checkpoint-counter deltas sum to the serial
-    ``checkpoint_stats`` regardless of how mutants land on workers.
-    ``progress`` is invoked in completion order (indices may interleave).
-    """
-    context = _pool_context()
-    worker_count = min(workers, len(indices))
-    chunksize = max(1, len(indices) // (worker_count * 8))
-    slots = {index: slot for slot, index in enumerate(indices)}
-    results: list[MutantResult | None] = [None] * len(indices)
-    stats: dict | None = None
-    with context.Pool(
-        worker_count,
-        initializer=_worker_init,
-        initargs=(
-            setup.source,
-            setup.driver_filename,
-            setup.registry,
-            setup.budget,
-            backend,
-            compile_cache,
-            boot_checkpoint,
-            checkpoint_granularity,
-            checkpoint_plan,
-            granularity_pinned,
-        ),
-    ) as pool:
-        completed = 0
-        for index, result, delta in pool.imap_unordered(
-            _worker_eval,
-            [(index, setup.tested[index]) for index in indices],
-            chunksize=chunksize,
-        ):
-            results[slots[index]] = result
-            stats = _merge_stats(stats, delta)
-            if progress is not None:
-                progress(completed, len(indices))
-            completed += 1
-    assert all(result is not None for result in results)
-    return results, stats  # type: ignore[return-value]
-
-
 # -- Devil specification campaigns ----------------------------------------------
+
+
+class DevilTarget(CampaignTarget):
+    """Devil specification mutants (one Table 2 row), checked, not booted.
+
+    ``compile_cache`` routes variant checking through
+    :class:`repro.devil.incremental.SpecCampaignCompiler`, which
+    re-lexes only the mutated line and re-parses only the mutated
+    declaration(s); results are identical to the from-scratch
+    ``spec_errors`` pipeline (``compile_cache=False``).
+    """
+
+    def __init__(self, spec_name: str, compile_cache: bool = True):
+        self.spec_name = spec_name
+        self.source = load_spec_source(spec_name)
+        device = parse_spec(self.source, spec_name)
+        # The unmutated spec must be accepted.
+        compile_spec(self.source, spec_name)
+        self.compiler = (
+            SpecCampaignCompiler(self.source, spec_name)
+            if compile_cache
+            else None
+        )
+        self.mutants = enumerate_devil_mutants(
+            self.source, device, spec_name, compiler=self.compiler
+        )
+
+    def tested(self, fraction: float, seed: int) -> list[Mutant]:
+        return sample_mutants(self.mutants, fraction, seed)
+
+    def evaluate(self, mutant: Mutant) -> tuple[MutantResult, None]:
+        mutated = mutant.apply(self.source)
+        if self.compiler is not None:
+            errors = self.compiler.errors_for_variant(mutated)
+        else:
+            errors = spec_errors(mutated, self.spec_name)
+        if errors:
+            outcome, detail = BootOutcome.COMPILE_CHECK, errors[0].code
+        else:
+            outcome, detail = BootOutcome.BOOT, "accepted"
+        return MutantResult(mutant=mutant, outcome=outcome, detail=detail), None
+
+    def result(self, request, rows, stats, quarantine) -> DevilCampaignResult:
+        return DevilCampaignResult(
+            spec_name=self.spec_name,
+            lines=count_code_lines(self.source),
+            sites=len({m.site.key for m in self.mutants}),
+            enumerated=len(self.mutants),
+            results=rows,
+            quarantine=quarantine,
+        )
 
 
 def run_devil_campaign(
@@ -927,46 +997,18 @@ def run_devil_campaign(
 ) -> DevilCampaignResult:
     """Mutation campaign against a bundled Devil spec (one Table 2 row).
 
-    ``compile_cache`` routes variant checking through
-    :class:`repro.devil.incremental.SpecCampaignCompiler`, which
-    re-lexes only the mutated line and re-parses only the mutated
-    declaration(s); campaign results are identical to the from-scratch
-    ``spec_errors`` pipeline (``compile_cache=False``).
+    ``compile_cache`` selects the incremental spec checker (see
+    :class:`DevilTarget`); campaign results are identical either way.
     """
-    source = load_spec_source(spec_name)
-    device = parse_spec(source, spec_name)
-    # The unmutated spec must be accepted.
-    compile_spec(source, spec_name)
+    from repro.engine.state import SpecRequest
 
-    compiler = (
-        SpecCampaignCompiler(source, spec_name) if compile_cache else None
-    )
-    mutants = enumerate_devil_mutants(
-        source, device, spec_name, compiler=compiler
-    )
-    tested = sample_mutants(mutants, fraction, seed)
-    result = DevilCampaignResult(
+    request = SpecRequest(
         spec_name=spec_name,
-        lines=count_code_lines(source),
-        sites=len({m.site.key for m in mutants}),
-        enumerated=len(mutants),
+        fraction=fraction,
+        seed=seed,
+        compile_cache=compile_cache,
     )
-    for index, mutant in enumerate(tested):
-        if progress is not None:
-            progress(index, len(tested))
-        mutated = mutant.apply(source)
-        if compiler is not None:
-            errors = compiler.errors_for_variant(mutated)
-        else:
-            errors = spec_errors(mutated, spec_name)
-        outcome = (
-            BootOutcome.COMPILE_CHECK if errors else BootOutcome.BOOT
-        )
-        detail = errors[0].code if errors else "accepted"
-        result.results.append(
-            MutantResult(mutant=mutant, outcome=outcome, detail=detail)
-        )
-    return result
+    return run_request(request, progress=progress)
 
 
 def count_code_lines(source: str) -> int:

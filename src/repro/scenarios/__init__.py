@@ -15,9 +15,10 @@ differential fuzzer's program generator
   corpus materialisation sized by a ``scale`` knob, and the
   deterministic JSON manifest;
 * :mod:`repro.scenarios.campaign` — scenarios as first-class mutation
-  campaign targets: enumeration, incremental compile, checkpoint plans
-  and the serial/parallel/engine seams, mirroring
-  `repro.mutation.runner` exactly.
+  campaign targets: a scenario boot harness (:class:`ScenarioHarness`)
+  for the drivers' own `repro.mutation.runner.MutantTarget`, so
+  enumeration, incremental compile, checkpoint plans and the serial,
+  ``workers=N`` and engine paths are the drivers' code.
 
 ``python -m repro.scenarios`` generates, lists and runs corpora from
 the command line; `repro.engine.ScenarioRequest` serves scenario
@@ -43,6 +44,7 @@ from repro.scenarios.corpus import (
     scenario_from_id,
 )
 from repro.scenarios.campaign import (
+    ScenarioHarness,
     ScenarioMachine,
     ScenarioSequence,
     prepare_scenario_campaign,
@@ -59,6 +61,7 @@ __all__ = [
     "Profile",
     "ProgramGen",
     "Scenario",
+    "ScenarioHarness",
     "ScenarioMachine",
     "ScenarioSequence",
     "ScriptedBus",

@@ -9,9 +9,9 @@ Commands::
 Everything is deterministic in ``(profile, index)``: ``generate``
 writes the identical bytes on every machine for a given ``--scale``,
 and ``run`` accepts a bare scenario id (``polling-003``) because the id
-alone reconstructs the program.  ``run --engine N`` routes the campaign
-through a warm in-process `repro.engine.Engine` with ``N`` workers —
-the result is byte-identical to the serial run.
+alone reconstructs the program.  ``run --workers N`` evaluates the
+campaign on a supervised in-process `repro.engine.Engine` with ``N``
+workers — the result is byte-identical to the serial run.
 """
 
 from __future__ import annotations
@@ -65,11 +65,7 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("--seed", type=int, default=DEFAULT_SEED)
     run.add_argument(
         "--workers", type=int, default=1,
-        help="process-pool evaluation with N workers",
-    )
-    run.add_argument(
-        "--engine", type=int, default=None, metavar="N",
-        help="evaluate on a warm in-process engine with N workers",
+        help="evaluate on a supervised engine with N workers",
     )
     run.add_argument("--backend", default=None)
     run.add_argument(
@@ -112,31 +108,16 @@ def main(argv: list[str] | None = None) -> int:
         from repro.scenarios.campaign import run_scenario_campaign
 
         scenario = scenario_from_id(args.scenario_id)
-        if args.engine is not None:
-            from repro.engine import Engine
-
-            with Engine(workers=args.engine) as engine:
-                campaign = run_scenario_campaign(
-                    scenario,
-                    fraction=args.fraction,
-                    seed=args.seed,
-                    step_budget=args.step_budget,
-                    backend=args.backend,
-                    boot_checkpoint=args.boot_checkpoint,
-                    checkpoint_granularity=args.granularity,
-                    engine=engine,
-                )
-        else:
-            campaign = run_scenario_campaign(
-                scenario,
-                fraction=args.fraction,
-                seed=args.seed,
-                step_budget=args.step_budget,
-                workers=args.workers,
-                backend=args.backend,
-                boot_checkpoint=args.boot_checkpoint,
-                checkpoint_granularity=args.granularity,
-            )
+        campaign = run_scenario_campaign(
+            scenario,
+            fraction=args.fraction,
+            seed=args.seed,
+            step_budget=args.step_budget,
+            workers=args.workers,
+            backend=args.backend,
+            boot_checkpoint=args.boot_checkpoint,
+            checkpoint_granularity=args.granularity,
+        )
         print(json.dumps({
             "driver": campaign.driver,
             "source_sha256": scenario.digest,

@@ -1,10 +1,10 @@
 """Scenario mutation campaigns: generated drivers as campaign targets.
 
-This module mirrors `repro.mutation.runner` construct for construct —
-mutant enumeration, seeded sampling, incremental compilation,
-cross-mutant boot checkpointing, serial and process-pool evaluation,
-and the warm-engine seam — with the kernel boot harness swapped for the
-scenario harness:
+A scenario campaign is a driver campaign with a different boot harness.
+Enumeration, sampling, incremental compilation, checkpointed resume and
+every evaluation path are the shared ones of `repro.mutation.runner`
+(:class:`~repro.mutation.runner.MutantTarget`); this module supplies
+only what differs:
 
 * a scenario "machine" is :class:`ScenarioMachine` — the deterministic
   :class:`~repro.scenarios.generator.ScriptedBus` plus trivially
@@ -19,10 +19,11 @@ scenario harness:
   value and an I/O digest in the detail string so byte-identity
   assertions cover the device interaction too.
 
-The checkpoint machinery (`repro.kernel.checkpoint`) is reused whole
-through its ``harness_factory`` seam, so generated programs get the
-same record/resume treatment — sub-call snapshots, divergence mapping,
-portable plans — as the bundled drivers.
+:class:`ScenarioHarness` bundles the three for the shared target, and
+the checkpoint machinery (`repro.kernel.checkpoint`) takes
+:func:`scenario_harness` through its ``harness_factory`` seam, so
+generated programs get the same record/resume treatment — sub-call
+snapshots, divergence mapping, portable plans — as the bundled drivers.
 """
 
 from __future__ import annotations
@@ -30,15 +31,6 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 
-from repro.diagnostics import CompileError
-from repro.kernel.checkpoint import (
-    CheckpointPlan,
-    changed_lines_of,
-    checkpoint_for_mutant,
-    load_plan,
-    record_plan,
-    resume_boot,
-)
 from repro.kernel.kernel import DEFAULT_BACKEND
 from repro.kernel.outcomes import BootOutcome, BootReport
 from repro.minic import SourceFile, compile_program
@@ -52,16 +44,15 @@ from repro.minic.errors import (
 )
 from repro.minic.incremental import CampaignCompiler
 from repro.mutation.generator import enumerate_c_mutants
-from repro.mutation.model import Mutant
 from repro.mutation.runner import (
     CampaignResult,
-    MutantResult,
+    CampaignSetup,
+    MutantTarget,
     ProgressFn,
-    _merge_stats,
-    _pool_context,
-    _stats_delta,
     build_c_pools,
+    evaluate_serial,
     resolve_checkpoint_options,
+    run_request,
 )
 from repro.mutation.sampling import DEFAULT_SEED, sample_mutants
 from repro.mutation.tagging import Region
@@ -239,131 +230,34 @@ def scenario_boot(
     return classifier(run, machine, interp)
 
 
-# -- campaign setup ------------------------------------------------------------
+@dataclass(frozen=True)
+class ScenarioHarness:
+    """How a scenario boots, for `repro.mutation.runner.MutantTarget`.
 
-
-@dataclass
-class ScenarioContext:
-    """Per-process scenario evaluation state (mirrors ``_EvalContext``)."""
-
-    scenario: object
-    budget: int
-    backend: str | None
-    compiler: CampaignCompiler | None
-    checkpoint: bool = False
-    granularity: str = "subcall"
-    plan_path: str | None = None
-    granularity_pinned: bool = False
-    _plan: CheckpointPlan | None = None
-    _machine: ScenarioMachine | None = None
-    _pristine: object = None
-
-    @property
-    def source(self) -> str:
-        return self.scenario.source
-
-    @property
-    def driver_filename(self) -> str:
-        return self.scenario.filename
-
-    @classmethod
-    def build(
-        cls,
-        scenario,
-        budget: int,
-        backend: str | None,
-        compile_cache: bool,
-        checkpoint: bool = False,
-        granularity: str = "subcall",
-        compiler: CampaignCompiler | None = None,
-        plan_path: str | None = None,
-        granularity_pinned: bool = False,
-    ) -> "ScenarioContext":
-        if compile_cache and compiler is None:
-            compiler = CampaignCompiler(scenario.filename, scenario.source, {})
-        if not compile_cache:
-            compiler = None
-        return cls(
-            scenario=scenario,
-            budget=budget,
-            backend=backend,
-            compiler=compiler,
-            checkpoint=checkpoint,
-            granularity=granularity,
-            plan_path=plan_path,
-            granularity_pinned=granularity_pinned,
-        )
-
-    def ensure_plan(self) -> CheckpointPlan:
-        if self._plan is None:
-            self._machine = ScenarioMachine(self.scenario.bus_seed)
-            self._pristine = self._machine.snapshot()
-            if self.plan_path is not None:
-                self._plan = load_plan(
-                    self.plan_path,
-                    source=self.scenario.source,
-                    driver_filename=self.scenario.filename,
-                    granularity=(
-                        self.granularity if self.granularity_pinned else None
-                    ),
-                    step_budget=self.budget,
-                )
-                self.granularity = self._plan.granularity
-            else:
-                if self.compiler is not None:
-                    baseline = self.compiler.baseline_program
-                else:
-                    baseline = compile_program(
-                        [
-                            SourceFile(
-                                self.scenario.filename, self.scenario.source
-                            )
-                        ]
-                    )
-                self._plan = record_plan(
-                    baseline,
-                    self._machine,
-                    self.budget,
-                    backend=self.backend,
-                    granularity=self.granularity,
-                    harness_factory=scenario_harness,
-                )
-            if self._plan.report.outcome is not BootOutcome.BOOT:
-                raise RuntimeError(
-                    "scenario checkpoint recording requires a clean "
-                    f"baseline run: {self._plan.report}"
-                )
-        return self._plan
-
-    def stats_view(self) -> dict | None:
-        """Current checkpoint counters, or ``None`` before any boot."""
-        return dict(self._plan.stats) if self._plan is not None else None
-
-
-@dataclass
-class ScenarioSetup:
-    """The deterministic front half of one scenario campaign.
-
-    Everything up to enumeration, sampling and the baseline run —
-    derived from ``(scenario_id, fraction, seed)`` alone, so every
-    process (serial runner, pool worker, engine worker, daemon) sees
-    the identical ``tested`` list.
+    The scenario counterpart of `repro.mutation.runner.KernelHarness`: a
+    fresh :class:`ScenarioMachine`, cold runs through
+    :func:`scenario_boot`, checkpoints through :func:`scenario_harness`,
+    and plans recorded under the campaign's own fixed budget.  Both
+    functions are looked up when called, not bound here.
     """
 
-    scenario: object
-    fraction: float
-    seed: int
-    driver_filename: str
-    source: str
-    mutants: list[Mutant]
-    tested: list[Mutant]
-    clean_steps: int
-    budget: int
-    compiler: CampaignCompiler | None = None
+    bus_seed: int
+    plan_budget: int
 
     @property
-    def enumerated(self) -> int:
-        return len(self.mutants)
+    def factory(self):
+        return scenario_harness
+
+    def machine(self) -> ScenarioMachine:
+        return ScenarioMachine(self.bus_seed)
+
+    def boot(self, program, machine, step_budget: int, backend: str | None):
+        return scenario_boot(
+            program, machine, step_budget=step_budget, backend=backend
+        )
+
+
+# -- campaigns -----------------------------------------------------------------
 
 
 def prepare_scenario_campaign(
@@ -373,8 +267,14 @@ def prepare_scenario_campaign(
     step_budget: int | None = None,
     backend: str | None = None,
     compile_cache: bool = True,
-) -> ScenarioSetup:
-    """Enumerate, sample and baseline-run one scenario campaign."""
+) -> CampaignSetup:
+    """Enumerate, sample and baseline-run one scenario campaign.
+
+    Everything is derived from ``(scenario, fraction, seed)`` alone, so
+    every process (serial runner, engine worker, daemon) sees the
+    identical ``tested`` list.  The result label is
+    ``"scenario:<id>"``.
+    """
     from repro.scenarios.corpus import DEFAULT_SCENARIO_BUDGET
 
     files = [SourceFile(scenario.filename, scenario.source)]
@@ -410,10 +310,13 @@ def prepare_scenario_campaign(
             f"baseline scenario {scenario.scenario_id} does not run "
             f"cleanly: {baseline}"
         )
-    return ScenarioSetup(
-        scenario=scenario,
+    return CampaignSetup(
+        driver=f"scenario:{scenario.scenario_id}",
+        mode="debug",
         fraction=fraction,
         seed=seed,
+        files=files,
+        registry={},
         driver_filename=scenario.filename,
         source=scenario.source,
         mutants=mutants,
@@ -421,80 +324,7 @@ def prepare_scenario_campaign(
         clean_steps=baseline.steps,
         budget=budget,
         compiler=compiler,
-    )
-
-
-# -- evaluation ----------------------------------------------------------------
-
-
-def scenario_run_one(mutant: Mutant, context: ScenarioContext) -> MutantResult:
-    """One mutant through the scenario harness (mirrors ``_run_one``)."""
-    mutated = mutant.apply(context.scenario.source)
-    try:
-        if context.compiler is not None:
-            program = context.compiler.compile_variant(mutated)
-        else:
-            program = compile_program(
-                [SourceFile(context.scenario.filename, mutated)]
-            )
-    except CompileError as error:
-        return MutantResult(
-            mutant=mutant,
-            outcome=BootOutcome.COMPILE_CHECK,
-            detail=error.diagnostics[0].code if error.diagnostics else "error",
-        )
-    if context.checkpoint:
-        report = _checkpointed_scenario_boot(program, mutant, context)
-    else:
-        report = scenario_boot(
-            program,
-            ScenarioMachine(context.scenario.bus_seed),
-            step_budget=context.budget,
-            backend=context.backend,
-        )
-    outcome = report.outcome
-    if outcome is BootOutcome.BOOT:
-        site_line = (mutant.site.file, mutant.site.line)
-        if site_line not in report.coverage:
-            outcome = BootOutcome.DEAD_CODE
-    return MutantResult(mutant=mutant, outcome=outcome, detail=report.detail)
-
-
-def _checkpointed_scenario_boot(
-    program, mutant: Mutant, context: ScenarioContext
-) -> BootReport:
-    """Run a mutant from the deepest provably-safe checkpoint.
-
-    Same decision procedure and fidelity argument as the driver
-    runner's ``_checkpointed_boot``: resumption restores the exact
-    bus-history/interpreter/sequence state the mutant itself would
-    reach, cold runs reinstate the pristine machine snapshot, and boots
-    run on the ``hybrid`` backend unless the campaign pinned ``tree``.
-    """
-    plan = context.ensure_plan()
-    machine = context._machine
-    checkpoint = None
-    lines = changed_lines_of(mutant.site, mutant.replacement)
-    if lines is not None:
-        checkpoint = checkpoint_for_mutant(plan, lines)
-    backend = "hybrid" if context.backend != "tree" else "tree"
-    if checkpoint is not None:
-        plan.stats["resumed"] += 1
-        if checkpoint.subcall:
-            plan.stats["resumed_subcall"] += 1
-        plan.stats["steps_skipped"] += checkpoint.steps
-        return resume_boot(
-            program,
-            checkpoint,
-            machine,
-            context.budget,
-            backend=backend,
-            harness_factory=scenario_harness,
-        )
-    plan.stats["cold"] += 1
-    machine.restore(context._pristine)
-    return scenario_boot(
-        program, machine, step_budget=context.budget, backend=backend
+        harness=ScenarioHarness(scenario.bus_seed, budget),
     )
 
 
@@ -514,37 +344,32 @@ def run_scenario_campaign(
     """Mutation campaign against one scenario (object or stable id).
 
     The same knobs and guarantees as
-    `repro.mutation.runner.run_driver_campaign`: ``workers=N`` merges
-    by mutant index (identical to serial), checkpoint options resolve
-    from the same environment variables, and ``engine=`` routes the
-    campaign through a warm `repro.engine.Engine` as a
-    ``ScenarioRequest``.  The result's ``driver`` label is
-    ``"scenario:<id>"`` on every path, so engine/daemon results compare
-    byte-identical to serial ones.
+    `repro.mutation.runner.run_driver_campaign`: checkpoint options
+    resolve through the same resolver, and ``workers=N`` (a throwaway
+    supervised engine) or ``engine=`` (a warm `repro.engine.Engine`)
+    submit the campaign as a ``ScenarioRequest``.  The result's
+    ``driver`` label is ``"scenario:<id>"`` on every path, so
+    engine/daemon results compare byte-identical to serial ones.
     """
     if isinstance(scenario, str):
         from repro.scenarios.corpus import scenario_from_id
 
         scenario = scenario_from_id(scenario)
-    if engine is not None:
+    options = resolve_checkpoint_options(boot_checkpoint, checkpoint_granularity)
+    if engine is not None or workers > 1:
         from repro.engine.state import ScenarioRequest
 
-        return engine.run_scenario_campaign(
-            ScenarioRequest(
-                scenario_id=scenario.scenario_id,
-                fraction=fraction,
-                seed=seed,
-                backend=backend,
-                compile_cache=compile_cache,
-                boot_checkpoint=boot_checkpoint,
-                granularity=checkpoint_granularity,
-                step_budget=step_budget,
-            ),
-            progress=progress,
+        request = ScenarioRequest(
+            scenario_id=scenario.scenario_id,
+            fraction=fraction,
+            seed=seed,
+            backend=backend,
+            compile_cache=compile_cache,
+            boot_checkpoint=boot_checkpoint,
+            granularity=checkpoint_granularity,
+            step_budget=step_budget,
         )
-    boot_checkpoint, checkpoint_granularity, granularity_pinned = (
-        resolve_checkpoint_options(boot_checkpoint, checkpoint_granularity)
-    )
+        return run_request(request, workers, engine, progress)
     setup = prepare_scenario_campaign(
         scenario,
         fraction,
@@ -553,135 +378,6 @@ def run_scenario_campaign(
         backend=backend,
         compile_cache=compile_cache,
     )
-    campaign = CampaignResult(
-        driver=f"scenario:{scenario.scenario_id}",
-        enumerated=setup.enumerated,
-        clean_steps=setup.clean_steps,
-        step_budget=setup.budget,
-    )
-    indices = list(range(len(setup.tested)))
-    if workers > 1 and len(indices) > 1:
-        campaign.results, campaign.checkpoint_stats = (
-            _evaluate_scenario_parallel(
-                setup,
-                indices,
-                backend,
-                compile_cache,
-                boot_checkpoint,
-                checkpoint_granularity,
-                granularity_pinned,
-                workers,
-                progress,
-            )
-        )
-        return campaign
-    context = ScenarioContext.build(
-        setup.scenario,
-        setup.budget,
-        backend,
-        compile_cache,
-        checkpoint=boot_checkpoint,
-        granularity=checkpoint_granularity,
-        compiler=setup.compiler,
-        granularity_pinned=granularity_pinned,
-    )
-    results = []
-    for done, index in enumerate(indices):
-        if progress is not None:
-            progress(done, len(indices))
-        results.append(scenario_run_one(setup.tested[index], context))
-    campaign.results, campaign.checkpoint_stats = results, context.stats_view()
-    return campaign
-
-
-# -- parallel evaluation -------------------------------------------------------
-
-#: Per-process scenario context, built once by the pool initialiser.
-_WORKER_CONTEXT: ScenarioContext | None = None
-
-
-def _worker_init(
-    scenario,
-    budget: int,
-    backend: str | None,
-    compile_cache: bool,
-    checkpoint: bool,
-    granularity: str,
-    plan_path: str | None,
-    granularity_pinned: bool,
-) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = ScenarioContext.build(
-        scenario,
-        budget,
-        backend,
-        compile_cache,
-        checkpoint=checkpoint,
-        granularity=granularity,
-        plan_path=plan_path,
-        granularity_pinned=granularity_pinned,
-    )
-
-
-def _worker_eval(
-    item: tuple[int, Mutant],
-) -> tuple[int, MutantResult, dict | None]:
-    index, mutant = item
-    context = _WORKER_CONTEXT
-    assert context is not None
-    before = context.stats_view()
-    result = scenario_run_one(mutant, context)
-    return index, result, _stats_delta(before, context.stats_view())
-
-
-def _evaluate_scenario_parallel(
-    setup: ScenarioSetup,
-    indices: list[int],
-    backend: str | None,
-    compile_cache: bool,
-    boot_checkpoint: bool,
-    checkpoint_granularity: str,
-    granularity_pinned: bool,
-    workers: int,
-    progress: ProgressFn | None,
-) -> tuple[list[MutantResult], dict | None]:
-    """Pool evaluation merging by index (mirrors ``_evaluate_parallel``).
-
-    The frozen :class:`~repro.scenarios.corpus.Scenario` (plain
-    str/int fields) ships through the pool initialiser, so spawn-start
-    workers rebuild the identical context without re-running the
-    generator's acceptance gate.
-    """
-    context = _pool_context()
-    worker_count = min(workers, len(indices))
-    chunksize = max(1, len(indices) // (worker_count * 8))
-    slots = {index: slot for slot, index in enumerate(indices)}
-    results: list[MutantResult | None] = [None] * len(indices)
-    stats: dict | None = None
-    with context.Pool(
-        worker_count,
-        initializer=_worker_init,
-        initargs=(
-            setup.scenario,
-            setup.budget,
-            backend,
-            compile_cache,
-            boot_checkpoint,
-            checkpoint_granularity,
-            None,
-            granularity_pinned,
-        ),
-    ) as pool:
-        completed = 0
-        for index, result, delta in pool.imap_unordered(
-            _worker_eval,
-            [(index, setup.tested[index]) for index in indices],
-            chunksize=chunksize,
-        ):
-            results[slots[index]] = result
-            stats = _merge_stats(stats, delta)
-            if progress is not None:
-                progress(completed, len(indices))
-            completed += 1
-    assert all(result is not None for result in results)
-    return results, stats  # type: ignore[return-value]
+    target = MutantTarget(setup, backend, compile_cache, *options)
+    rows, stats = evaluate_serial(target, setup.tested, progress)
+    return target.result(None, rows, stats, ())

@@ -453,6 +453,48 @@ def test_stale_granularity_env_ignored_without_checkpointing(monkeypatch):
     assert campaign.checkpoint_stats is None
 
 
+@pytest.mark.parametrize("path", ["serial", "workers", "engine"])
+@pytest.mark.parametrize("kind", ["driver", "scenario"])
+def test_unknown_granularity_is_refused_up_front(kind, path, monkeypatch):
+    """One checkpoint-option resolver serves every path: an explicitly
+    passed unknown granularity raises before anything is enumerated,
+    even with checkpointing off."""
+    from repro.engine import CampaignRequest, Engine, ScenarioRequest
+    from repro.mutation import runner
+    from repro.scenarios import campaign as scenario_campaign
+    from repro.scenarios import run_scenario_campaign
+
+    def enumerate_mutants(*args, **kwargs):
+        raise AssertionError("enumerated before the granularity was checked")
+
+    monkeypatch.setattr(runner, "enumerate_c_mutants", enumerate_mutants)
+    monkeypatch.setattr(
+        scenario_campaign, "enumerate_c_mutants", enumerate_mutants
+    )
+    options = dict(fraction=0.01, boot_checkpoint=False)
+    with pytest.raises(ValueError, match="bogus"):
+        if path == "engine":
+            request = (
+                CampaignRequest(driver="c", granularity="bogus", **options)
+                if kind == "driver"
+                else ScenarioRequest(
+                    scenario_id="polling-000", granularity="bogus", **options
+                )
+            )
+            with Engine(workers=1) as engine:
+                engine.submit(request)
+        else:
+            run = (
+                run_driver_campaign if kind == "driver" else run_scenario_campaign
+            )
+            run(
+                "c" if kind == "driver" else "polling-000",
+                checkpoint_granularity="bogus",
+                workers=2 if path == "workers" else 1,
+                **options,
+            )
+
+
 def test_call_granularity_bars_switch_label_lines():
     """A call plan has no dispatch-step anchors, and a re-executed
     switch can be redirected by a label mutant in an *earlier* call than

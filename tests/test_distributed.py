@@ -231,18 +231,6 @@ def test_cdevil_shards_merge_to_serial():
     assert _merged(shards, [1, 0]) == serial
 
 
-def test_sharded_workers_match_serial_shard(tmp_path):
-    plan_path = tmp_path / "plan.ckpt"
-    record_campaign_plan(plan_path, driver="c")
-    spec = ShardSpec(
-        driver="c", fraction=FRACTION, seed=SEED,
-        shard_index=0, shard_count=2, boot_checkpoint=True,
-    )
-    serial = run_shard(spec, plan_path=str(plan_path))
-    pooled = run_shard(spec, plan_path=str(plan_path), workers=2)
-    assert pooled == serial
-
-
 # -- shard files --------------------------------------------------------------
 
 

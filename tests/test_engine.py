@@ -396,7 +396,7 @@ def test_daemon_socket_round_trip(tmp_path):
     try:
         client = EngineClient(socket_path, wait=120.0)
         streamed = []
-        campaign = client.run_campaign(
+        campaign = client.submit(
             request, on_result=lambda index, result: streamed.append(index)
         )
         serial = run_driver_campaign(
@@ -405,7 +405,7 @@ def test_daemon_socket_round_trip(tmp_path):
         assert campaign == serial
         assert sorted(streamed) == list(range(serial.tested))
         # The daemon's warm state serves repeat submissions identically.
-        assert client.run_campaign(request) == serial
+        assert client.submit(request) == serial
         assert client.ping()
         client.shutdown()
         assert daemon.wait(timeout=60) == 0
@@ -602,7 +602,7 @@ def test_close_reaps_a_wedged_worker(monkeypatch):
     engine = Engine(workers=1, warm=(PLAIN,), close_timeout=0.5)
     engine.start()
     proc = engine._procs[0]
-    spec = PLAIN.resolved().warm_spec()
+    spec = PLAIN.warm_spec()
     # Wedge the worker: send a lease it will never answer.
     engine._conns[0].send(("eval", 0, spec, FRACTION, SEED, [0]))
     deadline = real_time.monotonic()

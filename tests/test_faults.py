@@ -176,8 +176,8 @@ def test_engine_matches_serial(golden_campaign):
         granularity="subcall",
     )
     with Engine(workers=2, warm=(request,)) as engine:
-        first = engine.run_fault_campaign(request)
-        second = engine.run_fault_campaign(request)  # warm re-submission
+        first = engine.submit(request)
+        second = engine.submit(request)  # warm re-submission
     assert report_json(first) == report_json(golden_campaign)
     assert report_json(second) == report_json(golden_campaign)
     assert first.checkpoint_stats == golden_campaign.checkpoint_stats

@@ -8,7 +8,8 @@ scheduling.
 
 import pytest
 
-from repro.mutation.runner import _pool_context, run_driver_campaign
+from repro.engine.core import _pool_context
+from repro.mutation.runner import run_driver_campaign
 
 
 def _view(campaign):

@@ -199,7 +199,7 @@ def test_warm_engine_matches_serial_for_every_profile(serial_campaigns):
     requests = [_request(profile) for profile in PROFILE_ORDER]
     with Engine(workers=2, warm=tuple(requests)) as engine:
         for profile, request in zip(PROFILE_ORDER, requests):
-            campaign = engine.run_scenario_campaign(request)
+            campaign = engine.submit(request)
             assert campaign == serial_campaigns[profile]
             assert (
                 campaign.checkpoint_stats
@@ -226,7 +226,7 @@ def test_daemon_round_trip_matches_serial(tmp_path, serial_campaigns):
     try:
         client = EngineClient(socket_path, wait=120.0)
         streamed = []
-        campaign = client.run_scenario_campaign(
+        campaign = client.submit(
             _request("errorpath"),
             on_result=lambda index, result: streamed.append(index),
         )
