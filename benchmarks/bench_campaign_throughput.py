@@ -48,9 +48,10 @@ fixed-seed sampled C-driver campaign under several configurations:
 A separate **budget-bound** measurement re-boots the campaign's
 infinite-loop mutants (the ones that burn the whole step budget and
 dominate wall time) on the closure and source backends:
-``speedup_source_vs_closure_budget_bound`` is the backend's own
+``speedup_source_vs_closure_budget_bound`` is the source backend's own
 execution speedup, free of the per-mutant compile and device-emulation
-costs every configuration shares.
+costs every configuration shares.  The source boots fast-forward their
+settled polling loops to the step budget, so it measures that too.
 
 Outcome classifications must be identical across all of them — a speedup
 is only meaningful if the fast path computes the same Table 3/4.

@@ -28,7 +28,8 @@ performs, so daemon round-trips preserve byte-identity.
 
 The serve loop is failure-isolated per connection: a client that
 vanishes mid-stream (``BrokenPipeError``/``ConnectionResetError``
-while results are being pushed) or sends garbage costs only that
+while results are being pushed), sends garbage, or sends no complete
+request within ``_REQUEST_DEADLINE`` seconds costs only that
 connection — the daemon logs it and goes back to ``accept``, warm
 state intact.
 """
@@ -54,6 +55,12 @@ _LENGTH = struct.Struct(">I")
 _CONNECT_BACKOFF_BASE = 0.01
 _CONNECT_BACKOFF_CAP = 0.5
 
+#: Seconds the serve loop waits for a whole request frame on an accepted
+#: connection.  Clients send their request right after connecting, so
+#: this only ever expires on a silent or stalled client, which would
+#: otherwise block every other client behind the serial accept loop.
+_REQUEST_DEADLINE = 3.0
+
 
 class CampaignFailedError(EngineError):
     """A daemon-side campaign failed after (possibly partial) streaming.
@@ -77,22 +84,34 @@ def send_frame(sock: socket.socket, payload) -> None:
     sock.sendall(_LENGTH.pack(len(data)) + data)
 
 
-def recv_frame(sock: socket.socket):
-    """One frame, or ``None`` on a cleanly closed connection."""
-    header = _recv_exact(sock, _LENGTH.size)
+def recv_frame(sock: socket.socket, deadline: float | None = None):
+    """One frame, or ``None`` on a cleanly closed connection.
+
+    With a ``deadline`` (a ``time.monotonic()`` instant) the whole frame
+    must arrive by then, else :class:`TimeoutError`; the socket is left
+    with that timeout set.
+    """
+    header = _recv_exact(sock, _LENGTH.size, deadline)
     if header is None:
         return None
     (length,) = _LENGTH.unpack(header)
-    data = _recv_exact(sock, length)
+    data = _recv_exact(sock, length, deadline)
     if data is None:
         raise EngineError("connection closed mid-frame")
     return pickle.loads(data)
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
+def _recv_exact(
+    sock: socket.socket, count: int, deadline: float | None = None
+) -> bytes | None:
     chunks: list[bytes] = []
     remaining = count
     while remaining:
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("no complete request frame in time")
+            sock.settimeout(left)
         chunk = sock.recv(remaining)
         if not chunk:
             if chunks:
@@ -203,6 +222,12 @@ def serve(
                         f"({type(error).__name__})",
                         file=sys.stderr,
                     )
+                except TimeoutError:
+                    print(
+                        "engine daemon: dropped a client that sent no "
+                        f"complete request within {_REQUEST_DEADLINE:g} s",
+                        file=sys.stderr,
+                    )
                 except (
                     EngineError,
                     pickle.UnpicklingError,
@@ -226,9 +251,10 @@ def serve(
 def _handle(conn: socket.socket, engine: Engine) -> bool:
     """Serve one connection; ``False`` stops the accept loop."""
     while True:
-        frame = recv_frame(conn)
+        frame = recv_frame(conn, time.monotonic() + _REQUEST_DEADLINE)
         if frame is None:
             return True
+        conn.settimeout(None)  # replies stream for as long as they take
         op = frame[0]
         if op == "ping":
             send_frame(conn, ("pong",))

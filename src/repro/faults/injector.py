@@ -7,6 +7,8 @@ per-port ``_read_handlers`` dict, which the source backend hoists into
 emitted bodies, and ``bulk_read_port`` / ``bulk_write_port``, which the
 ``insw``/``outsw`` builtins probe before falling back to the per-word
 path), and wraps ``DiskImage.write_sector`` for sector-level faults.
+The shadowed ``read_port`` also switches off the polling fast-forward
+(``IOBus.read_is_fixed`` answers no), so no counted read is skipped.
 ``disarm`` deletes the instance attributes, restoring plain class-method
 dispatch — zero overhead and unchanged semantics when disarmed.
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.hw.device import Device
 from repro.minic.errors import MachineFault
 
 
@@ -128,6 +129,37 @@ class IOBus:
         if self.trace_limit:
             self._record("read", address, size, value)
         return value
+
+    def read_is_fixed(self, address: int, size: int, value: int) -> bool:
+        """Whether a :meth:`read_port` now would return ``value`` and
+        leave every device as it is.
+
+        The polling fast-forward of `repro.minic.codegen` asks this at
+        the end of a spin iteration.  The device is read once and its
+        ``snapshot()`` compared; a read that changed it is undone with
+        ``restore()``, so asking never changes the machine.  Answers
+        False without reading when skipped reads would be missed —
+        tracing is on, or ``read_port`` is replaced (the armed fault
+        injector counts every access) — or when the device keeps the
+        base no-op snapshot, which proves nothing.
+        """
+        if (
+            self.trace_limit
+            or getattr(self.read_port, "__func__", None) is not IOBus.read_port
+        ):
+            return False
+        mask = (1 << size) - 1
+        device = self._decode.get(address)
+        if device is None:
+            return not self.strict and value == mask  # floating bus
+        if type(device).snapshot is Device.snapshot:
+            return False
+        before = device.snapshot()
+        read = device.io_read(address, size) & mask
+        if device.snapshot() != before:
+            device.restore(before)
+            return False
+        return read == value
 
     def bulk_read_port(self, address: int, size: int, count: int):
         """``count`` consecutive reads of one port, or None if unsupported.

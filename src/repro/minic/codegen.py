@@ -24,6 +24,19 @@ the two provably neutral extensions below:
   entry step (with the usual ``budget + 1`` fix-up): nothing with a side
   effect sits between the two consumes in the reference backends.
 
+Polling fast-forward: an empty-body loop (``while (C) ;``,
+``for (init; C; ) ;``, ``do ; while (C)``) whose condition is
+*read-pure* (see :func:`_spin_reads`) changes nothing per iteration but
+the step count and the state its port reads touch.  Its emitted body
+keeps the condition's read values and, on a doubling schedule from
+iteration :data:`_FIRST_PROBE`, asks the bus whether re-reading every
+port would return the same value and leave the device unchanged
+(``IOBus.read_is_fixed``).  If so, every remaining iteration repeats
+this one until the watchdog fires, so the loop ends there exactly as a
+full spin would: ``steps = budget + 1`` and the same exception.  The
+argument needs nothing but the loop to touch machine state between
+iterations; an interrupt model would have to revisit it.
+
 Static name resolution replaces the interpreter's scope-chain scan:
 mini-C block scoping is lexical (a ``LocalDecl`` becomes visible to the
 statements after it, shadowing outer bindings), so each local maps to a
@@ -306,6 +319,66 @@ def _has_loop_continue(stmt: ast.Stmt | None) -> bool:
         )
     return False
 
+
+#: Iteration at which a fast-forwardable loop first probes for a fixed
+#: point; later probes double the count (64, 128, ...).  Settle spins of
+#: a clean boot run a few iterations and never reach it.
+_FIRST_PROBE = 32
+
+
+def _empty_body(stmt: ast.Stmt | None) -> bool:
+    """Whether a loop body only consumes steps (``;``, ``{ ; }``, ``{}``)."""
+    if isinstance(stmt, ast.EmptyStmt):
+        return True
+    return isinstance(stmt, ast.Block) and all(
+        _empty_body(inner) for inner in stmt.statements
+    )
+
+
+def _spin_reads(expr: ast.Expr, function_decls, guarded: bool = False) -> int | None:
+    """Port reads per evaluation of a read-pure condition, else None.
+
+    Read-pure: constants, variable and function-name loads, operators
+    that assign nothing, and ``inb``/``inw``/``inl`` calls whose port
+    expression is itself read-pure.  Evaluating one changes nothing but
+    the step count and whatever its port reads do to the devices.  A
+    read in an operand that is evaluated only sometimes (the right of
+    ``&&``/``||``, the arms of ``?:``) is rejected (``guarded``): the
+    fixed-point probe needs the same reads on every iteration.
+    """
+    if isinstance(expr, (ast.IntLit, ast.CharLit, ast.StrLit, ast.Ident)):
+        return 0
+    if isinstance(expr, ast.Unary) and expr.op in ("-", "~", "!"):
+        return _spin_reads(expr.operand, function_decls, guarded)
+    if isinstance(expr, ast.Cast):
+        return _spin_reads(expr.operand, function_decls, guarded)
+    if isinstance(expr, (ast.Binary, ast.Comma)):
+        short = isinstance(expr, ast.Binary) and expr.op in ("&&", "||")
+        left = _spin_reads(expr.left, function_decls, guarded)
+        right = _spin_reads(expr.right, function_decls, guarded or short)
+        if left is None or right is None:
+            return None
+        return left + right
+    if isinstance(expr, ast.Ternary):
+        parts = [
+            _spin_reads(expr.cond, function_decls, guarded),
+            _spin_reads(expr.then, function_decls, True),
+            _spin_reads(expr.other, function_decls, True),
+        ]
+        return None if None in parts else sum(parts)
+    if (
+        isinstance(expr, ast.Call)
+        and isinstance(expr.callee, ast.Ident)
+        and expr.callee.name in _PORT_READS
+        and expr.callee.name not in function_decls
+        and len(expr.args) == 1
+        and not guarded
+    ):
+        inner = _spin_reads(expr.args[0], function_decls)
+        return None if inner is None else inner + 1
+    return None
+
+
 # -- the emitter ---------------------------------------------------------------
 
 
@@ -330,6 +403,9 @@ class _FunctionEmitter:
         #: IOBus.read_port when the bus published a handler).
         self._port_hoists: dict[int, str] = {}
         self._hoist_mark = 0
+        #: While a fast-forwardable loop's condition is emitted: one
+        #: (port code, size, value name) per port read, in read order.
+        self._reads: list[tuple[str, int, str]] | None = None
         #: innermost-last ("loop"|"switch", break mode, continue mode);
         #: modes are "py" (native break/continue) or "signal" (raise).
         self._targets: list[tuple[str, str, str | None]] = []
@@ -857,10 +933,72 @@ class _FunctionEmitter:
                 self.emit_stmt(stmt.otherwise)
             self.pop()
 
+    # -- polling fast-forward ------------------------------------------------
+
+    def spin_begin(self, cond, body) -> tuple[str, str, int] | None:
+        """Set up the fast-forward of a loop about to be emitted, if any.
+
+        For an empty ``body`` and a read-pure ``cond`` (None: always
+        true), emits the probe countdown before the loop, starts
+        recording the condition's reads and returns what
+        :meth:`spin_probe` needs; otherwise returns None.
+        """
+        if not _empty_body(body):
+            return None
+        expected = 0 if cond is None else _spin_reads(cond, self.env.function_decls)
+        if expected is None:
+            return None
+        countdown, period = self.temp(), self.temp()
+        self.line(f"{countdown} = {period} = {_FIRST_PROBE}")
+        self._reads = []
+        return countdown, period, expected
+
+    def spin_probe(self, spin: tuple[str, str, int] | None) -> None:
+        """End-of-iteration fixed-point probe (see the module docstring).
+
+        Every read the iteration's condition made is re-checked against
+        the bus; the condition reads nothing else, so when all of them
+        are fixed the next iteration repeats this one, and so on until
+        the watchdog.
+        """
+        if spin is None:
+            return
+        countdown, period, expected = spin
+        reads, self._reads = self._reads, None
+        assert reads is not None and len(reads) == expected, "unrecorded read"
+        self.line(f"{countdown} -= 1")
+        self.line(f"if not {countdown}:")
+        self.push()
+        if reads:
+            self.line(f"{countdown} = {period}")
+            self.line(f"{period} += {period}")
+            self.line("_fx = getattr(_bus, 'read_is_fixed', None)")
+            checks = " and ".join(
+                f"_fx({port}, {size}, {value})" for port, size, value in reads
+            )
+            self.line(f"if _fx is not None and {checks}:")
+            self.push()
+        self.line("rt.steps = _budget + 1")
+        self.line("raise _exceeded(_budget)")
+        if reads:
+            self.pop()
+        self.pop()
+
+    def record_read(self, port: str, size: int, value: _Val) -> _Val:
+        """``value`` of a port read, kept in a name when reads are recorded."""
+        if self._reads is None:
+            return value
+        name = self.materialize(value)
+        self._reads.append((port, size, name))
+        return _Val(name, pure=True, known_int=value.known_int, itype=value.itype)
+
+    # -- loops ---------------------------------------------------------------
+
     def emit_while(self, stmt: ast.While, origins, extra: int = 0) -> None:
         assert stmt.cond is not None and stmt.body is not None
         self.steps(1 + extra)
         self.cov(origins)
+        spin = self.spin_begin(stmt.cond, stmt.body)
         self.line("while True:")
         self.push()
         # Iteration step batched into the condition's entry consume; the
@@ -875,6 +1013,7 @@ class _FunctionEmitter:
         with self.branch():
             self.emit_stmt(stmt.body)
         self._targets.pop()
+        self.spin_probe(spin)
         self.pop()
 
     def _emit_loop_body(self, body: ast.Stmt) -> None:
@@ -901,6 +1040,7 @@ class _FunctionEmitter:
         assert stmt.cond is not None and stmt.body is not None
         self.steps(1 + extra)
         self.cov(origins)
+        spin = self.spin_begin(stmt.cond, stmt.body)
         self.line("while True:")
         self.push()
         self.steps(1)  # iteration; coverage update idempotent, skipped
@@ -910,6 +1050,7 @@ class _FunctionEmitter:
         self.push()
         self.line("break")
         self.pop()
+        self.spin_probe(spin)
         self.pop()
 
     def emit_for(self, stmt: ast.For, origins, extra: int = 0) -> None:
@@ -919,6 +1060,9 @@ class _FunctionEmitter:
         self.push_scope()
         if stmt.init is not None:
             self.emit_stmt(stmt.init)
+        spin = None
+        if stmt.step is None:
+            spin = self.spin_begin(stmt.cond, stmt.body)
         self.line("while True:")
         self.push()
         if stmt.cond is not None:
@@ -932,6 +1076,7 @@ class _FunctionEmitter:
         self._emit_loop_body(stmt.body)
         if stmt.step is not None:
             self.discard(self.emit_expr(stmt.step, drop=True))
+        self.spin_probe(spin)
         self.pop()
         self.pop_scope()
 
@@ -1249,9 +1394,13 @@ class _FunctionEmitter:
             if matched is not None:
                 port, size, read_steps = matched
                 self.steps(read_steps + extra)
-                return _Val(
-                    self.port_read_code(port, size),
-                    itype={8: U8, 16: U16, 32: U32}[size],
+                return self.record_read(
+                    repr(port),
+                    size,
+                    _Val(
+                        self.port_read_code(port, size),
+                        itype={8: U8, 16: U16, 32: U32}[size],
+                    ),
                 )
 
             if name in _PORT_WRITES and len(expr.args) == 2 and len(params) == 2:
@@ -1355,6 +1504,14 @@ class _FunctionEmitter:
                         parts.append(f"rt._coerce({value!r}, {ct})")
                 else:
                     parts.append(self.coerce_expr(param, varname))
+            if self._reads is not None and name in _PORT_READS:
+                # The builtin reads port ``int(args[0])``; keep the
+                # argument so the probe re-reads the same port.
+                port = self.temp()
+                self.line(f"{port} = {parts[0]}")
+                return self.record_read(
+                    f"int({port})", _PORT_READS[name], _Val(f"{bi}(rt, [{port}])")
+                )
             return _Val(f"{bi}(rt, [{', '.join(parts)}])")
 
         if name not in self.env.function_decls:
@@ -1691,6 +1848,7 @@ class _FunctionEmitter:
                 self.steps(entry_steps + inner_steps + right_s + extra)
                 raw = self.temp()
                 self.line(f"{raw} = {self.port_read_code(port, size)}")
+                self.record_read(repr(port), size, _Val(raw, pure=True))
                 raw_itype = {8: U8, 16: U16, 32: U32}[size]
                 wrapped_right = repr(common.wrap(right_val))
                 if (

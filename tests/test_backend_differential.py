@@ -21,6 +21,8 @@ same code paths the scenario campaigns run.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from conftest import ALL_BACKENDS, FAST_BACKENDS, assert_boot_equivalent
@@ -38,13 +40,16 @@ from repro.minic.compile import interpreter_for
 from repro.mutation.generator import enumerate_c_mutants
 from repro.mutation.runner import build_c_pools
 from repro.mutation.sampling import sample_mutants
-from repro.scenarios import ProgramGen, ScriptedBus
+from repro.scenarios import PROFILES, ProgramGen, ScriptedBus
+from repro.scenarios.generator import _PORTS as GENERATOR_PORTS
 
 # -- the differential harness --------------------------------------------------
 
 
-def run_once(program, backend: str, seed: int, step_budget: int):
-    bus = ScriptedBus(seed)
+def run_once(
+    program, backend: str, seed: int, step_budget: int, bus_factory=ScriptedBus
+):
+    bus = bus_factory(seed)
     interp = interpreter_for(backend)(program, bus, step_budget=step_budget)
     try:
         result = interp.call("run", 3, 11)
@@ -61,8 +66,13 @@ def run_once(program, backend: str, seed: int, step_budget: int):
     )
 
 
-def assert_generated_equivalent(seed: int, step_budget: int = 30_000) -> None:
-    source = ProgramGen(seed).program()
+def assert_generated_equivalent(
+    seed: int,
+    step_budget: int = 30_000,
+    profile=None,
+    bus_factory=ScriptedBus,
+) -> None:
+    source = ProgramGen(seed, profile).program()
     try:
         program = compile_program([SourceFile("fuzz.c", source)])
     except CompileError as error:  # pragma: no cover - generator bug guard
@@ -70,9 +80,9 @@ def assert_generated_equivalent(seed: int, step_budget: int = 30_000) -> None:
             f"generator produced an invalid program (seed {seed}):\n"
             f"{error.diagnostics}\n{source}"
         ) from error
-    reference = run_once(program, "tree", seed, step_budget)
+    reference = run_once(program, "tree", seed, step_budget, bus_factory)
     for backend in FAST_BACKENDS:
-        observed = run_once(program, backend, seed, step_budget)
+        observed = run_once(program, backend, seed, step_budget, bus_factory)
         assert observed == reference, (
             f"backend {backend!r} diverged on generated program "
             f"(seed {seed}):\n{source}"
@@ -92,6 +102,55 @@ def test_generated_program_equivalence(seed):
 @pytest.mark.parametrize("seed", SLOW_GENERATED_SEEDS)
 def test_generated_program_equivalence_deep(seed):
     assert_generated_equivalent(seed)
+
+
+# -- stuck ports: the polling fast-forward under the fuzzer --------------------
+
+
+class StuckPortBus(ScriptedBus):
+    """A scripted bus with a seeded subset of the generator's ports stuck.
+
+    A stuck port reads a constant without advancing the read stream, so
+    a polling loop on it spins until the watchdog.  The bus offers the
+    fast-forward probe (``read_is_fixed``) for those ports only and
+    counts the reads it vouched for.
+    """
+
+    fixed_answers = 0
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        rng = random.Random(seed)
+        ports = rng.sample(GENERATOR_PORTS, rng.randint(1, len(GENERATOR_PORTS)))
+        self.stuck = {
+            port: rng.choice((0x00, 0x01, 0x87, 0xFF, 0xFFFFFFFF))
+            for port in ports
+        }
+
+    def read_port(self, address: int, size: int) -> int:
+        if address in self.stuck:
+            return self.stuck[address] & ((1 << size) - 1)
+        return super().read_port(address, size)
+
+    def read_is_fixed(self, address: int, size: int, value: int) -> bool:
+        fixed = (
+            address in self.stuck
+            and value == self.stuck[address] & ((1 << size) - 1)
+        )
+        StuckPortBus.fixed_answers += fixed
+        return fixed
+
+
+def test_polling_programs_on_stuck_ports_equivalent():
+    """Tree, closure, source and hybrid agree on polling-profile
+    programs whose polled ports may be stuck — and the fast-forward
+    really fires along the way."""
+    StuckPortBus.fixed_answers = 0
+    for seed in range(60):
+        assert_generated_equivalent(
+            seed, profile=PROFILES["polling"], bus_factory=StuckPortBus
+        )
+    assert StuckPortBus.fixed_answers > 0
 
 
 # -- real campaign mutants -----------------------------------------------------

@@ -25,6 +25,7 @@ from repro.hw.busmouse import LogitechBusmouse
 from repro.hw.device import Device
 from repro.hw.diskimage import DiskImage
 from repro.hw.ide import IdeController
+from repro.hw.legacy import LegacyBoard
 from repro.hw.machine import Machine
 from repro.hw.ne2000 import Ne2000
 from repro.hw.pci import BusMaster82371FB
@@ -113,6 +114,51 @@ def test_snapshot_restore_round_trip(name, seed):
     assert probe_a == probe_b
     assert bus_a.snapshot() == bus_b.snapshot()
     assert device_a.snapshot() == device_b.snapshot()
+
+
+@pytest.mark.parametrize("name", [*sorted(DEVICES), "legacy"])
+@pytest.mark.parametrize("seed", [1, 7, 4136])
+def test_unchanged_snapshot_means_a_fixed_read(name, seed):
+    """The contract the polling fast-forward's probe stands on.
+
+    When a read leaves ``snapshot()`` unchanged, reading that port again
+    returns the same value and leaves the snapshot unchanged too; when
+    it changes the snapshot, ``restore`` brings the snapshot back.  A
+    snapshot that misses state fails here, as it would fail the probe
+    (``IOBus.read_is_fixed``) and checkpointing alike.
+    """
+    if name == "legacy":
+        device, ports = LegacyBoard(), [0x20, 0x21, 0x40, 0x61, 0x3F4]
+        writes = False  # a stray legacy write wedges the machine
+    else:
+        device, ports = DEVICES[name]()
+        writes = True
+    bus = IOBus()
+    bus.attach(device)
+    rng = random.Random(seed)
+    fixed = changed = 0
+    for _ in range(400):
+        port = rng.choice(ports)
+        size = rng.choice((8, 8, 8, 16))
+        if writes and rng.random() < 0.4:
+            bus.write_port(port, rng.randrange(1 << size), size)
+            continue
+        before = device.snapshot()
+        value = bus.read_port(port, size)
+        after = device.snapshot()
+        if after == before:
+            fixed += 1
+            assert bus.read_port(port, size) == value
+            assert device.snapshot() == before
+        else:
+            changed += 1
+            device.restore(before)
+            assert device.snapshot() == before
+            assert bus.read_port(port, size) == value  # replays the read
+            assert device.snapshot() == after
+    assert fixed > 0
+    if name == "ide":
+        assert changed > 0  # status and data reads drain state
 
 
 @pytest.mark.parametrize("name", sorted(DEVICES))

@@ -15,8 +15,11 @@ the index space rather than merging a corrupted campaign.
 from __future__ import annotations
 
 import os
+import socket
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -409,6 +412,47 @@ def test_daemon_socket_round_trip(tmp_path):
         assert client.ping()
         client.shutdown()
         assert daemon.wait(timeout=60) == 0
+    finally:
+        if daemon.poll() is None:  # pragma: no cover - failure cleanup
+            daemon.kill()
+            daemon.wait()
+
+
+def test_silent_client_does_not_block_other_clients(tmp_path):
+    """A client that connects and sends nothing is dropped once the
+    request deadline passes; the next client's ping is answered."""
+    from repro.engine.daemon import _REQUEST_DEADLINE
+
+    socket_path = str(tmp_path / "engine.sock")
+    daemon = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.engine", "serve",
+            "--socket", socket_path, "--workers", "1", "--fraction", "0.02",
+        ],
+        env=_daemon_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        client = EngineClient(socket_path, wait=120.0)
+        assert client.ping()  # warm and serving
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as silent:
+            silent.connect(socket_path)
+            answered = []
+            start = time.monotonic()
+            pinger = threading.Thread(
+                target=lambda: answered.append(client.ping()), daemon=True
+            )
+            pinger.start()
+            pinger.join(timeout=_REQUEST_DEADLINE + 10)
+            assert answered == [True]
+            # It was answered only once the silent client was dropped.
+            assert time.monotonic() - start > _REQUEST_DEADLINE / 2
+        client.shutdown()
+        _, stderr = daemon.communicate(timeout=60)
+        assert daemon.returncode == 0
+        assert "sent no complete request" in stderr
     finally:
         if daemon.poll() is None:  # pragma: no cover - failure cleanup
             daemon.kill()
