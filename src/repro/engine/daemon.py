@@ -13,9 +13,12 @@ byte for byte — that the in-process serial runner would have produced.
 Wire format: length-prefixed pickle frames, the same trusted-local
 trade-off the distributed shard files make (`repro.serialize`): the
 socket path is the trust boundary, so keep it in a directory only you
-can write.  Client frames are ``("campaign", request)`` for every
-request type, ``("ping",)`` and ``("shutdown",)``; the server answers a
-campaign with a stream of ``("result", index, row)`` frames in
+can write.  ``serve`` creates the socket owner-only (mode 0600), and
+refuses a request frame whose length header exceeds
+``_MAX_REQUEST_FRAME`` before reading its body.  Client frames are
+``("campaign", request)`` for every request type, ``("ping",)`` and
+``("shutdown",)``; the server answers a campaign with a stream of
+``("result", index, row)`` frames in
 completion order, terminated by ``("done", shell)`` — the campaign's
 result object with its ``results`` emptied.  A campaign that *fails* —
 typically the supervised engine exhausting its respawn budget — ends
@@ -28,10 +31,10 @@ performs, so daemon round-trips preserve byte-identity.
 
 The serve loop is failure-isolated per connection: a client that
 vanishes mid-stream (``BrokenPipeError``/``ConnectionResetError``
-while results are being pushed), sends garbage, or sends no complete
-request within ``_REQUEST_DEADLINE`` seconds costs only that
-connection — the daemon logs it and goes back to ``accept``, warm
-state intact.
+while results are being pushed), sends garbage, announces an oversized
+request frame, or sends no complete request within
+``_REQUEST_DEADLINE`` seconds costs only that connection — the daemon
+logs it and goes back to ``accept``, warm state intact.
 """
 
 from __future__ import annotations
@@ -60,6 +63,11 @@ _CONNECT_BACKOFF_CAP = 0.5
 #: this only ever expires on a silent or stalled client, which would
 #: otherwise block every other client behind the serial accept loop.
 _REQUEST_DEADLINE = 3.0
+
+#: Largest request frame (bytes) the serve loop reads.  Requests are a
+#: few hundred bytes of pickled parameters; without a cap one local
+#: client could make the daemon buffer up to 4 GiB, then unpickle it.
+_MAX_REQUEST_FRAME = 1 << 20
 
 
 class CampaignFailedError(EngineError):
@@ -91,10 +99,20 @@ def recv_frame(sock: socket.socket, deadline: float | None = None):
     must arrive by then, else :class:`TimeoutError`; the socket is left
     with that timeout set.
     """
+    return _recv_frame(sock, deadline, limit=None)
+
+
+def _recv_frame(sock: socket.socket, deadline: float | None, limit: int | None):
+    """:func:`recv_frame`; a length header above ``limit`` raises
+    :class:`EngineError` before any of the body is read."""
     header = _recv_exact(sock, _LENGTH.size, deadline)
     if header is None:
         return None
     (length,) = _LENGTH.unpack(header)
+    if limit is not None and length > limit:
+        raise EngineError(
+            f"request frame of {length} bytes exceeds the {limit}-byte cap"
+        )
     data = _recv_exact(sock, length, deadline)
     if data is None:
         raise EngineError("connection closed mid-frame")
@@ -187,7 +205,13 @@ def serve(
     """
     _claim_socket_path(socket_path)
     server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    server.bind(socket_path)
+    # The socket file is created by bind() with the process umask; bind
+    # under an owner-only umask so it is 0600 from the first instant.
+    umask = os.umask(0o177)
+    try:
+        server.bind(socket_path)
+    finally:
+        os.umask(umask)
     server.listen(16)
 
     def _terminate(signum, frame):  # pragma: no cover - signal path
@@ -251,7 +275,9 @@ def serve(
 def _handle(conn: socket.socket, engine: Engine) -> bool:
     """Serve one connection; ``False`` stops the accept loop."""
     while True:
-        frame = recv_frame(conn, time.monotonic() + _REQUEST_DEADLINE)
+        frame = _recv_frame(
+            conn, time.monotonic() + _REQUEST_DEADLINE, _MAX_REQUEST_FRAME
+        )
         if frame is None:
             return True
         conn.settimeout(None)  # replies stream for as long as they take

@@ -13,9 +13,35 @@ variant; this module exploits what campaigns share:
   by the macro-table fingerprint at the point of inclusion;
 * **declaration splicing** — the variant's token stream is diffed against
   the baseline's; only the top-level declarations covering the changed
-  token range are re-parsed, and the untouched declarations' ASTs are
+  token run are re-parsed, and the untouched declarations' ASTs are
   reused (their token spans, locations and therefore coverage origins are
-  unchanged — single-token replacements never move line numbers).
+  unchanged — single-token replacements never move line numbers);
+* **statement reuse** — inside a re-parsed declaration, every statement
+  whose tokens *and the one token after it* lie outside the changed run
+  is the baseline's own node(s): the parser jumps past it instead of
+  parsing it (see :class:`_SplicingParser`).  Only the statements the
+  edit touches and the headers of their enclosing statements are parsed.
+
+Statement reuse is exact because ``Parser._parse_statement``'s result is
+a function of the statement's tokens, one lookahead token (``if`` looks
+for ``else`` after its arm) and the typedef/struct tables, which never
+change inside a re-parse-safe declaration.  Tokens outside the changed
+run are the baseline's own tokens or equal to them, and equal tokens
+carry equal locations and macro sites, hence equal origins.
+
+Reused nodes are shared with the baseline, never copied (a copy would
+carry the node-attached caches described next) and never mutated by the
+parser.  Two things are cached *on* shared nodes, and both are only
+valid while every name a reused statement references keeps its type:
+sema's ``ctype`` annotations (re-written when the fresh function is
+checked) and the closure backend's resume lowerings
+(``Stmt._resume_lowered``).  So a re-parsed declaration that reused
+anything is compared with the baseline's on its return type, parameters
+and ordered local declarations with their scope nesting
+(:func:`_scope_shape`); if they differ (``int t;`` → ``u8 t;``), the
+declaration is parsed again with nothing to reuse.  That parse — the
+same parser with an empty reuse table — is also how the baseline itself
+is parsed.
 
 Semantic analysis still runs over the full spliced unit (it is cheap and
 its diagnostics order must match a from-scratch compile).  Correctness
@@ -25,13 +51,13 @@ declarations (their parse mutates shared registries), or a diff that
 reaches outside the recorded declaration spans.
 
 The cache-correctness tests assert byte-identical results (diagnostics,
-AST-derived outcomes, steps and coverage) between this path and
+ASTs, AST-derived outcomes, steps and coverage) between this path and
 ``compile_program`` over campaign samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 from repro.diagnostics import CompileError, DiagnosticSink
@@ -93,6 +119,119 @@ def _macro_fingerprint(macros: dict[str, MacroDef]) -> tuple:
     )
 
 
+#: Baseline statements by token index: ``start -> (end, nodes)``, where
+#: ``nodes`` is what ``Parser._parse_statement`` returned for the tokens
+#: ``[start, end)``.
+_StatementTable = dict[int, tuple[int, tuple[ast.Stmt, ...]]]
+
+
+class _SplicingParser(Parser):
+    """Parser that hands back the baseline's statement nodes it may reuse.
+
+    ``tokens[0]`` is the variant's token ``origin``; the changed token
+    run is ``run`` in baseline indices, and variant indices past it sit
+    ``delta`` (variant length minus baseline length) above the
+    baseline's.  A statement starting outside the run is looked up in
+    ``reusable``; it is reused when its tokens and the lookahead token
+    after it all lie outside the run, i.e. are (equal to) the tokens the
+    baseline parsed it from.  With ``record`` set, every statement parsed
+    is entered there (baseline indices: ``origin == delta == 0``).
+
+    ``_parse_top_decl`` is deliberately not overridden, so a wrapper
+    patched onto ``Parser`` (perfbench's ``minic.parse`` span) still covers
+    every parse made here.
+    """
+
+    def __init__(
+        self,
+        tokens: list[CToken],
+        origin: int = 0,
+        reusable: _StatementTable | None = None,
+        run: tuple[int, int] = (0, 0),
+        delta: int = 0,
+        record: _StatementTable | None = None,
+    ):
+        super().__init__(tokens)
+        self.origin = origin
+        self.reusable = reusable or {}
+        self.run = run
+        self.delta = delta
+        self.record = record
+        self.reused = 0
+        self.parsed = 0
+
+    def _parse_statement(self) -> list[ast.Stmt]:
+        position = self.index + self.origin
+        run_start, run_end = self.run
+        if position < run_start:
+            entry = self.reusable.get(position)
+            if entry is not None and entry[0] < run_start:
+                self.index = entry[0] - self.origin
+                self.reused += 1
+                return list(entry[1])
+        elif position >= run_end + self.delta:
+            entry = self.reusable.get(position - self.delta)
+            if entry is not None:
+                self.index = entry[0] + self.delta - self.origin
+                self.reused += 1
+                return list(entry[1])
+        self.parsed += 1
+        nodes = super()._parse_statement()
+        if self.record is not None:
+            self.record[position] = (self.index + self.origin, tuple(nodes))
+        return nodes
+
+
+def _scope_shape(decls: list[ast.TopDecl]) -> tuple:
+    """What name resolution inside ``decls``' function bodies depends on.
+
+    Per function: its return type and parameters, then every local
+    declaration ``(name, var_type, const)`` in order, with ``{``/``}``
+    wherever sema opens or closes a scope (blocks, ``for``, ``switch``).
+    Two declaration lists with equal shapes give every statement they
+    share the same types for every local name it references.
+    """
+    shape: list = []
+    for decl in decls:
+        if isinstance(decl, ast.FuncDecl):
+            shape.append(
+                (
+                    decl.return_type,
+                    tuple((param.name, param.ctype) for param in decl.params),
+                )
+            )
+            if decl.body is not None:
+                for stmt in decl.body.statements:
+                    _statement_shape(stmt, shape)
+    return tuple(shape)
+
+
+def _statement_shape(stmt: ast.Stmt | None, shape: list) -> None:
+    if isinstance(stmt, ast.LocalDecl):
+        shape.append((stmt.name, stmt.var_type, stmt.const))
+    elif isinstance(stmt, ast.Block):
+        shape.append("{")
+        for inner in stmt.statements:
+            _statement_shape(inner, shape)
+        shape.append("}")
+    elif isinstance(stmt, ast.If):
+        _statement_shape(stmt.then, shape)
+        _statement_shape(stmt.otherwise, shape)
+    elif isinstance(stmt, (ast.While, ast.DoWhile)):
+        _statement_shape(stmt.body, shape)
+    elif isinstance(stmt, ast.For):
+        shape.append("{")
+        _statement_shape(stmt.init, shape)
+        _statement_shape(stmt.body, shape)
+        shape.append("}")
+    elif isinstance(stmt, ast.Switch):
+        shape.append("{")
+        for group in stmt.groups:
+            for inner in group.body:
+                _statement_shape(inner, shape)
+        shape.append("}")
+
+
 @dataclass
 class _DeclGroup:
     """Top-level declarations parsed from one contiguous token span."""
@@ -107,6 +246,16 @@ class _DeclGroup:
     #: in a combined declaration like ``struct X { ... } var;``, which
     #: leave no StructDef in ``decls``).
     mutates_type_state: bool = False
+    #: Every statement parsed in the group (baseline token indices).
+    statements: _StatementTable = field(default_factory=dict)
+    #: ``_scope_shape(decls)``, computed on first use.
+    _shape: tuple | None = field(default=None, init=False, repr=False)
+
+    @property
+    def shape(self) -> tuple:
+        if self._shape is None:
+            self._shape = _scope_shape(self.decls)
+        return self._shape
 
     def reparse_safe(self) -> bool:
         """Whether re-parsing this group cannot disturb shared state."""
@@ -121,12 +270,21 @@ class _DeclGroup:
 class CampaignCompiler:
     """Compile many single-edit variants of one driver file, fast.
 
-    The baseline source is compiled once with full bookkeeping; each call
-    to :meth:`compile_variant` then pays only for the mutated line's lex,
-    the token diff, the re-parse of the touched declaration(s) and a full
-    (cheap) semantic pass.  Results — including raised ``CompileError``
-    diagnostics — are identical to ``compile_program([SourceFile(name,
-    text)], registry)``.
+    The baseline source is compiled once with full bookkeeping, which
+    includes every statement's token span and nodes.  Each call to
+    :meth:`compile_variant` then pays only for the mutated line's lex,
+    the token diff, the re-parse of the touched declaration(s) and a
+    full (cheap) semantic pass.  That re-parse reuses the baseline's
+    statement nodes wherever the statement and its one lookahead token
+    lie outside the changed run, so it parses only the edited
+    statements and the headers enclosing them.  A declaration whose
+    re-parse changes its return type, parameters or local declarations
+    is parsed again with nothing reused: sema annotations and resume
+    lowerings cached on shared nodes hold only while every name keeps
+    its type.  Results — including raised ``CompileError`` diagnostics
+    and the ASTs themselves — are identical to
+    ``compile_program([SourceFile(name, text)], registry)``, and the
+    baseline's AST stays equal to a fresh compile of the baseline.
     """
 
     def __init__(
@@ -181,6 +339,9 @@ class CampaignCompiler:
             "identical": 0,
             "sema_reused": 0,
             "sema_full": 0,
+            "statements_reused": 0,
+            "statements_parsed": 0,
+            "reuse_refused": 0,
         }
 
     # -- pipeline pieces ---------------------------------------------------
@@ -352,7 +513,7 @@ class CampaignCompiler:
         last_file = self.driver_filename
         last_line = stream[-1].line if stream else 1
         stream.append(CToken(CTokenKind.EOF, "", last_line, 1, last_file))
-        parser = Parser(stream)
+        parser = _SplicingParser(stream)
         groups: list[_DeclGroup] = []
         while parser.current.kind is not CTokenKind.EOF:
             typedef_count = len(parser.typedefs)
@@ -363,6 +524,7 @@ class CampaignCompiler:
                 if struct.defined
             }
             start = parser.index
+            parser.record = statements = {}
             decls = parser._parse_top_decl()
             defined_after = {
                 name
@@ -381,6 +543,7 @@ class CampaignCompiler:
                         or len(parser.structs) != struct_count
                         or defined_after != defined_before
                     ),
+                    statements=statements,
                 )
             )
         return groups, dict(parser.typedefs), dict(parser.structs)
@@ -412,11 +575,9 @@ class CampaignCompiler:
             # take the safe path.
             self.stats["full"] += 1
             return self._full_compile(text)
-        first, last, slice_start, slice_end = located
+        first, last, _, _ = located
 
-        new_decls = self._parse_slice(
-            tokens[slice_start:slice_end], self._groups[first]
-        )
+        new_decls = self._reparse(tokens, span, located)
         decls: list[ast.TopDecl] = []
         for group in self._groups[:first]:
             decls.extend(group.decls)
@@ -486,8 +647,9 @@ class CampaignCompiler:
         The mutant generator's syntactic gate: behaves exactly like
         preprocessing and parsing the variant from scratch (operator
         mutants that break the grammar are rejected identically), but
-        re-parses only the declarations covering the edit, sharing the
-        campaign's lex/include caches.
+        re-parses only the statements the edit touches, through the
+        same path as :meth:`compile_variant`, sharing the campaign's
+        lex/include caches.
         """
         if text == self.baseline_text:
             return True
@@ -502,10 +664,7 @@ class CampaignCompiler:
             located = self._incremental_slice(tokens, *span)
             if located is None:
                 return self._full_parses(tokens)
-            first, _, slice_start, slice_end = located
-            self._parse_slice(
-                tokens[slice_start:slice_end], self._groups[first]
-            )
+            self._reparse(tokens, span, located)
         except CompileError:
             return False
         return True
@@ -519,15 +678,60 @@ class CampaignCompiler:
         Parser(stream).parse_translation_unit()
         return True
 
-    def _parse_slice(
-        self, tokens: list[CToken], first_group: _DeclGroup
+    def _reparse(
+        self,
+        tokens: list[CToken],
+        span: tuple[int, int],
+        located: tuple[int, int, int, int],
     ) -> list[ast.TopDecl]:
-        stream = list(tokens)
+        """Re-parse the located declarations, reusing baseline statements.
+
+        Falls back to a parse with nothing to reuse when the re-parsed
+        declarations' scope shape differs from the baseline's.
+        """
+        first, last, slice_start, slice_end = located
+        groups = self._groups[first : last + 1]
+        if len(groups) == 1:
+            reusable = groups[0].statements
+        else:
+            reusable = {}
+            for group in groups:
+                reusable.update(group.statements)
+        decls, parser = self._parse_slice(
+            tokens, slice_start, slice_end, groups[0], reusable, span
+        )
+        if parser.reused and _scope_shape(decls) != sum(
+            (group.shape for group in groups), ()
+        ):
+            self.stats["reuse_refused"] += 1
+            decls, parser = self._parse_slice(
+                tokens, slice_start, slice_end, groups[0], {}, span
+            )
+        self.stats["statements_reused"] += parser.reused
+        self.stats["statements_parsed"] += parser.parsed
+        return decls
+
+    def _parse_slice(
+        self,
+        tokens: list[CToken],
+        slice_start: int,
+        slice_end: int,
+        first_group: _DeclGroup,
+        reusable: _StatementTable,
+        run: tuple[int, int],
+    ) -> tuple[list[ast.TopDecl], _SplicingParser]:
+        stream = tokens[slice_start:slice_end]
         last_line = stream[-1].line if stream else 1
         stream.append(
             CToken(CTokenKind.EOF, "", last_line, 1, self.driver_filename)
         )
-        parser = Parser(stream)
+        parser = _SplicingParser(
+            stream,
+            origin=slice_start,
+            reusable=reusable,
+            run=run,
+            delta=len(tokens) - len(self._baseline_tokens),
+        )
         # Rewind the shared type environment to its state just before the
         # first re-parsed declaration (both tables only ever grow).
         parser.typedefs = dict(
@@ -539,7 +743,7 @@ class CampaignCompiler:
         decls: list[ast.TopDecl] = []
         while parser.current.kind is not CTokenKind.EOF:
             decls.extend(parser._parse_top_decl())
-        return decls
+        return decls, parser
 
     def _full_compile(self, text: str) -> CompiledProgram:
         return compile_program(

@@ -17,8 +17,9 @@ Per-mutant cost is kept low by two campaign-scoped optimisations, both
 individually defeatable for reference runs:
 
 * ``compile_cache=True`` routes compilation through
-  :class:`repro.minic.incremental.CampaignCompiler`, which re-lexes and
-  re-parses only the mutated declaration(s) of the driver file;
+  :class:`repro.minic.incremental.CampaignCompiler`, which re-lexes the
+  mutated line and re-parses only the statements the edit touches,
+  reusing the baseline's nodes for the rest of the driver file;
 * ``backend`` selects the mini-C execution backend (default: the
   closure-compiled fast path; ``"source"`` is the still-faster
   source-emitting codegen backend, ``"tree"`` the reference walker).

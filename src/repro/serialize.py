@@ -10,12 +10,24 @@ unpickling anything:
   is this module's container revision, ``kind`` names the payload);
 * line 2 — a compact JSON header with sorted keys: whatever metadata the
   writer needs readers to validate *before* deserialising (fingerprints,
-  shard coordinates, payload counts);
+  shard coordinates, payload counts), plus ``sha256``, the digest of the
+  header's other fields and the payload (below);
 * the rest — a canonical pickle of the payload object.
 
+**Corruption fails closed.**  :func:`read_container` recomputes the
+digest over the canonical JSON of the header without ``sha256``, a
+newline and the payload bytes, and raises :class:`ContainerError` on a
+mismatch *before* unpickling, so a truncated file or a flipped bit
+anywhere in the header or payload is a typed error rather than an
+arbitrary unpickling exception or, worse, a silently different plan.
+Files written by an earlier container format are refused by the format
+check.
+
 **Trust boundary**: the payload is Python pickle, so loading a
-container *executes* whatever its bytes describe — header and
-fingerprint validation authenticate nothing.  Only read plans and shard
+container *executes* whatever its bytes describe.  The digest detects
+accidental corruption and authenticates nothing — anyone who can write
+the file can write a matching digest — and header and fingerprint
+validation authenticate nothing either.  Only read plans and shard
 files produced by hosts you trust (the shard protocol assumes the
 campaign operator controls every worker); treat a container from
 anywhere else as untrusted code.
@@ -36,6 +48,7 @@ preserved exactly as pickle always preserves it (by identity memo).
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -45,7 +58,12 @@ import sys
 MAGIC = "REPRO-ARTIFACT"
 
 #: Container-layout revision (the magic line's ``format`` field).
-CONTAINER_FORMAT = 1
+#: Format 2 added the header's ``sha256`` digest.
+CONTAINER_FORMAT = 2
+
+#: Header key holding the container digest (reserved: writers' headers
+#: must not use it).
+DIGEST_KEY = "sha256"
 
 #: Pinned pickle protocol: deterministic output and readable by every
 #: Python this project supports.
@@ -108,14 +126,33 @@ def canonical_loads(data: bytes):
     return pickle.loads(data)
 
 
+def _header_line(header: dict) -> bytes:
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode(
+        "utf-8"
+    )
+
+
+def _digest(header: dict, body: bytes) -> str:
+    """sha256 of ``header`` (canonical JSON), a newline and ``body``."""
+    return hashlib.sha256(_header_line(header) + b"\n" + body).hexdigest()
+
+
 def pack_container(kind: str, header: dict, payload) -> bytes:
     """The full container file contents for ``payload``."""
     if any(ch.isspace() for ch in kind):
         raise ContainerError(f"container kind {kind!r} must not contain spaces")
-    header_line = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    if DIGEST_KEY in header:
+        raise ContainerError(f"container header key {DIGEST_KEY!r} is reserved")
+    body = canonical_dumps(payload)
+    # Digest the header as a reader will parse it back (tuples become
+    # lists, keys strings), so the reader's re-serialisation matches.
+    sealed = json.loads(_header_line(header))
+    sealed[DIGEST_KEY] = _digest(sealed, body)
     return (
-        f"{MAGIC} {CONTAINER_FORMAT} {kind}\n{header_line}\n".encode("utf-8")
-        + canonical_dumps(payload)
+        f"{MAGIC} {CONTAINER_FORMAT} {kind}\n".encode("ascii")
+        + _header_line(sealed)
+        + b"\n"
+        + body
     )
 
 
@@ -136,7 +173,9 @@ def write_container(path, kind: str, header: dict, payload) -> None:
 def read_header(path, kind: str | None = None) -> dict:
     """The container's JSON header — no payload deserialisation.
 
-    ``kind`` (when given) must match the magic line's kind field.
+    ``kind`` (when given) must match the magic line's kind field.  The
+    digest is checked only by :func:`read_container`; it is not part of
+    the returned header.
     """
     with open(path, "rb") as handle:
         header, _ = _read_preamble(handle, path, kind)
@@ -144,14 +183,23 @@ def read_header(path, kind: str | None = None) -> dict:
 
 
 def read_container(path, kind: str | None = None) -> tuple[dict, object]:
-    """``(header, payload)`` of a container file, validated."""
+    """``(header, payload)`` of a container file, validated.
+
+    The digest is checked before the payload is unpickled; any mismatch
+    (truncation, corruption) raises :class:`ContainerError`.
+    """
     with open(path, "rb") as handle:
-        header, _ = _read_preamble(handle, path, kind)
-        payload = canonical_loads(handle.read())
-    return header, payload
+        header, digest = _read_preamble(handle, path, kind)
+        body = handle.read()
+    if digest != _digest(header, body):
+        raise ContainerError(
+            f"{path}: container digest mismatch (truncated or corrupted)"
+        )
+    return header, canonical_loads(body)
 
 
 def _read_preamble(handle, path, kind: str | None) -> tuple[dict, str]:
+    """``(header without its digest, digest)``, validated."""
     magic_line = handle.readline()
     try:
         magic, fmt, found_kind = magic_line.decode("ascii").split()
@@ -176,4 +224,7 @@ def _read_preamble(handle, path, kind: str | None) -> tuple[dict, str]:
         raise ContainerError(f"{path}: malformed container header") from None
     if not isinstance(header, dict):
         raise ContainerError(f"{path}: malformed container header")
-    return header, found_kind
+    digest = header.pop(DIGEST_KEY, None)
+    if not isinstance(digest, str):
+        raise ContainerError(f"{path}: container header lacks its digest")
+    return header, digest

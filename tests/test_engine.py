@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import socket
+import stat
 import subprocess
 import sys
 import threading
@@ -453,6 +454,45 @@ def test_silent_client_does_not_block_other_clients(tmp_path):
         _, stderr = daemon.communicate(timeout=60)
         assert daemon.returncode == 0
         assert "sent no complete request" in stderr
+    finally:
+        if daemon.poll() is None:  # pragma: no cover - failure cleanup
+            daemon.kill()
+            daemon.wait()
+
+
+def test_oversized_request_frame_is_refused_and_socket_is_owner_only(tmp_path):
+    """A length header past the cap drops that connection unread; the
+    socket is 0600 even under a group-writable umask."""
+    from repro.engine.daemon import _LENGTH, _MAX_REQUEST_FRAME, _REQUEST_DEADLINE
+
+    socket_path = str(tmp_path / "engine.sock")
+    daemon = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.engine", "serve",
+            "--socket", socket_path, "--workers", "1", "--fraction", "0.02",
+        ],
+        env=_daemon_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        preexec_fn=lambda: os.umask(0o002),
+    )
+    try:
+        client = EngineClient(socket_path, wait=120.0)
+        assert client.ping()
+        assert stat.S_IMODE(os.stat(socket_path).st_mode) == 0o600
+        for length in (_MAX_REQUEST_FRAME + 1, 0xFFFFFFFF):
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+                raw.connect(socket_path)
+                raw.settimeout(_REQUEST_DEADLINE / 2)
+                raw.sendall(_LENGTH.pack(length))
+                # Closed at once: the daemon never waits for the body.
+                assert raw.recv(1) == b""
+            assert client.ping()
+        client.shutdown()
+        _, stderr = daemon.communicate(timeout=60)
+        assert daemon.returncode == 0
+        assert stderr.count("exceeds the") == 2
     finally:
         if daemon.poll() is None:  # pragma: no cover - failure cleanup
             daemon.kill()
