@@ -158,18 +158,9 @@ def run_configurations(
     seed: int = DEFAULT_SEED,
     driver: str = "c",
     workers: int | None = None,
-    shards: int = 1,
     engine: int = 0,
 ) -> dict:
     """Time the legacy and fast configurations; verify identical results.
-
-    ``shards`` > 1 additionally times the **sharded configuration**: the
-    checkpointed campaign fanned over that many independent OS processes
-    through `repro.distributed` — portable plan recorded once, shard
-    results merged by mutant index — asserting the merged result
-    classifies identically.  Shard processes pay their own interpreter
-    start-up and campaign preparation, so small benchmark fractions
-    understate the speedup full campaigns see.
 
     ``engine`` > 0 times the **engine configuration**: the same
     checkpointed campaign submitted to a warm `repro.engine.Engine`
@@ -248,28 +239,6 @@ def run_configurations(
         "fast configuration changed campaign outcomes"
     )
 
-    sharded_seconds = None
-    if shards > 1:
-        from repro.distributed import sharded_campaign
-
-        start = time.perf_counter()
-        sharded = sharded_campaign(
-            driver,
-            fraction=fraction,
-            seed=seed,
-            shard_count=shards,
-            backend="source",
-            boot_checkpoint=True,
-            checkpoint_granularity="subcall",
-        )
-        sharded_seconds = time.perf_counter() - start
-        assert _outcomes(sharded) == _outcomes(checkpoint_serial), (
-            "sharded campaign diverged from the serial checkpointed run"
-        )
-        assert sharded.checkpoint_stats == checkpoint_serial.checkpoint_stats, (
-            "sharded campaign's summed checkpoint stats diverged"
-        )
-
     engine_warmup_seconds = None
     engine_seconds = None
     engine_unsupervised_seconds = None
@@ -339,7 +308,6 @@ def run_configurations(
 
     tested = legacy.tested
     return {
-        "shard_count": shards,
         "engine_workers": engine or None,
         "engine_warmup_seconds": (
             round(engine_warmup_seconds, 3)
@@ -370,19 +338,6 @@ def run_configurations(
         "supervision_overhead": (
             round(engine_seconds / engine_unsupervised_seconds, 3)
             if engine_seconds and engine_unsupervised_seconds
-            else None
-        ),
-        "sharded_seconds": (
-            round(sharded_seconds, 3) if sharded_seconds is not None else None
-        ),
-        "sharded_mutants_per_sec": (
-            round(tested / sharded_seconds, 2)
-            if sharded_seconds
-            else None
-        ),
-        "speedup_sharded_vs_checkpoint_serial": (
-            round(checkpoint_serial_seconds / sharded_seconds, 2)
-            if sharded_seconds
             else None
         ),
         "driver": driver,
@@ -583,14 +538,6 @@ def main(argv: list[str] | None = None) -> int:
         help="fast-configuration worker count (default: all cores)",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="also time the checkpointed campaign sharded over N local "
-        "processes via repro.distributed (recorded as shard_count on "
-        "the trajectory point)",
-    )
-    parser.add_argument(
         "--engine",
         type=int,
         default=0,
@@ -644,7 +591,6 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         driver=args.driver,
         workers=args.workers,
-        shards=args.shards,
         engine=args.engine,
     )
 

@@ -2,33 +2,27 @@
 
 The paper's headline Tables 3/4 come from *full* mutation campaigns —
 thousands of mutants per driver — which bind a serial run to one host's
-core count.  This package partitions a campaign's sampled mutant index
-space into deterministic, seed-stable shards that run as independent
-processes (locally or on other hosts) and merge back into a
-`~repro.mutation.runner.CampaignResult` identical to the serial run:
+core count.  This package splits any campaign request
+(`repro.engine.state`: driver, scenario, fault or Devil-spec) into
+deterministic, seed-stable shards that run anywhere and merge back into
+the result ``run_request`` returns, identical to the serial run.  A
+shard is ``(request, shard_index, shard_count)``: it evaluates the
+stride ``range(shard_index, n, shard_count)`` of the request's sampled
+items through the same campaign target (`repro.mutation.runner`) every
+other path drives, so it needs no coordinator.
 
-* `repro.distributed.sharding` — the coordination-free shard planner:
-  a shard's mutant slice is a pure function of
-  ``(driver, mode, fraction, seed, shard_index, shard_count)``;
 * `repro.distributed.shards` — shard execution, self-describing
   shard-result files, and the validating index-space merge (missing and
   duplicate shards refuse loudly);
-* `repro.distributed.local` — single-host orchestration: record the
-  portable checkpoint plan once (`repro.kernel.checkpoint.save_plan`),
-  fan shards out over OS processes, merge, resume after crashes;
-* ``python -m repro.distributed`` — the CLI speaking the same protocol
-  for multi-host runs (`repro.distributed.__main__`).
+* ``python -m repro.distributed`` — the CLI a multi-host deployment
+  ships to its workers: ``record-plan`` once, one ``run-shard`` per
+  host, ``status`` and ``merge`` over the collected files
+  (`repro.distributed.__main__`).
+
+On one host, parallelism is ``workers=N`` (a supervised
+`repro.engine.Engine`); shard files are the unit of multi-host work.
 """
 
-from repro.distributed.local import (
-    record_campaign_plan,
-    resume_missing,
-    run_shards_local,
-    shard_command,
-    shard_file_name,
-    sharded_campaign,
-)
-from repro.distributed.sharding import ShardSpec, plan_shards, shard_indices
 from repro.distributed.shards import (
     ShardMergeError,
     ShardResult,
@@ -38,26 +32,19 @@ from repro.distributed.shards import (
     read_shard_header,
     read_shard_result,
     run_shard,
+    shard_indices,
     write_shard_result,
 )
 
 __all__ = [
     "ShardMergeError",
     "ShardResult",
-    "ShardSpec",
     "merge_shard_files",
     "merge_shard_results",
     "missing_shard_indices",
-    "plan_shards",
     "read_shard_header",
     "read_shard_result",
-    "record_campaign_plan",
-    "resume_missing",
     "run_shard",
-    "run_shards_local",
-    "shard_command",
-    "shard_file_name",
     "shard_indices",
-    "sharded_campaign",
     "write_shard_result",
 ]

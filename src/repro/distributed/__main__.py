@@ -6,14 +6,15 @@ Commands::
     run-shard     evaluate one deterministic shard; write a shard file
     merge         validate + merge shard files into the campaign result
     status        list present/missing shards of an output directory
-    run-local     plan + run every shard as a local process + merge
-    resume        re-run only the missing shards of out-dir, then merge
 
 A multi-host campaign is ``record-plan`` once, one ``run-shard`` per
 host (shipping the plan file alongside), and ``merge`` over the
-collected shard files; ``run-local`` drives the same protocol on one
-machine.  Shards need no coordination: each derives its mutant slice
-from ``(driver, mode, fraction, seed, shard-index, shard-count)`` alone.
+collected shard files.  Shards need no coordination: each derives its
+mutant slice from the campaign flags (the engine CLI's, `repro.engine`)
+plus ``--shard-index``/``--shard-count`` alone.  The CLI runs driver
+campaigns; every campaign kind shards through
+`repro.distributed.run_shard` in Python.  On one host the parallel path
+is ``workers=N`` (``--engine N`` on the Table 3/4 CLIs), not shards.
 """
 
 from __future__ import annotations
@@ -23,67 +24,15 @@ import json
 import os
 import sys
 
-from repro.distributed.local import (
-    record_campaign_plan,
-    resume_missing,
-    sharded_campaign,
-    shard_file_name,
-)
-from repro.distributed.sharding import DRIVERS, MODES, ShardSpec
 from repro.distributed.shards import (
     merge_shard_files,
     missing_shard_indices,
     run_shard,
     write_shard_result,
 )
-from repro.kernel.checkpoint import GRANULARITIES
-from repro.mutation.sampling import DEFAULT_SEED
-
-
-def _campaign_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--driver", choices=DRIVERS, default="c")
-    parser.add_argument("--mode", choices=MODES, default="debug")
-    parser.add_argument("--fraction", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--backend", default=None)
-    parser.add_argument(
-        "--no-compile-cache",
-        dest="compile_cache",
-        action="store_false",
-        help="full per-mutant compiles (reference path)",
-    )
-    parser.add_argument(
-        "--boot-checkpoint",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="resume mutants from boot checkpoints (implied by --plan; "
-        "--no-boot-checkpoint pins cold boots even under "
-        "REPRO_BOOT_CHECKPOINT=1; default: that environment variable)",
-    )
-    parser.add_argument(
-        "--granularity",
-        choices=GRANULARITIES,
-        default=None,
-        help="checkpoint granularity (default: the plan file's, "
-        "or REPRO_CHECKPOINT_GRANULARITY)",
-    )
-    parser.add_argument("--step-budget", type=int, default=None)
-
-
-def _spec(args, shard_index: int, shard_count: int) -> ShardSpec:
-    return ShardSpec(
-        driver=args.driver,
-        mode=args.mode,
-        fraction=args.fraction,
-        seed=args.seed,
-        shard_index=shard_index,
-        shard_count=shard_count,
-        backend=args.backend,
-        compile_cache=args.compile_cache,
-        boot_checkpoint=args.boot_checkpoint,
-        checkpoint_granularity=args.granularity,
-        step_budget=args.step_budget,
-    )
+from repro.engine.__main__ import DRIVERS, MODES, _request, _request_arguments
+from repro.engine.state import CampaignRequest
+from repro.kernel.checkpoint import GRANULARITIES, read_plan_header
 
 
 def _render(result) -> str:
@@ -124,10 +73,13 @@ def main(argv: list[str] | None = None) -> int:
     shard = commands.add_parser(
         "run-shard", help="evaluate one shard; write a shard-result file"
     )
-    _campaign_arguments(shard)
+    _request_arguments(shard)
     shard.add_argument("--shard-index", type=int, required=True)
     shard.add_argument("--shard-count", type=int, required=True)
-    shard.add_argument("--plan", default=None, help="portable plan file")
+    shard.add_argument(
+        "--plan", default=None,
+        help="portable plan file (implies --boot-checkpoint)",
+    )
     shard.add_argument(
         "--out", default=None,
         help="shard file path (default: shard-<i>-of-<n>.shard)",
@@ -145,48 +97,34 @@ def main(argv: list[str] | None = None) -> int:
     )
     status.add_argument("out_dir")
 
-    local = commands.add_parser(
-        "run-local", help="plan + run all shards locally + merge"
-    )
-    _campaign_arguments(local)
-    local.add_argument("--shard-count", type=int, default=None)
-    local.add_argument("--out-dir", default=None,
-                       help="keep plan + shard files here")
-    local.add_argument(
-        "--engine", type=int, default=None, metavar="WORKERS",
-        help="run on a supervised in-process engine with N work-stealing "
-        "workers instead of shard processes (identical result, no "
-        "per-shard fixed cost; no shard files are written)",
-    )
-
-    resume = commands.add_parser(
-        "resume", help="re-run only the missing shards of out-dir + merge"
-    )
-    resume.add_argument("out_dir")
-
     args = parser.parse_args(argv)
 
     if args.command == "record-plan":
-        header = record_campaign_plan(
-            args.out,
+        request = CampaignRequest(
             driver=args.driver,
             mode=args.mode,
-            granularity=args.granularity,
             backend=args.backend,
+            boot_checkpoint=True,
+            granularity=args.granularity,
         )
-        print(json.dumps(header, indent=2))
+        target = request.warm_spec().target()
+        target.warm()
+        target.export_plan(args.out)
+        print(json.dumps(read_plan_header(args.out), indent=2))
         return 0
 
     if args.command == "run-shard":
-        spec = _spec(args, args.shard_index, args.shard_count)
-        result = run_shard(spec, plan_path=args.plan)
-        out = args.out or shard_file_name(
-            args.shard_index, args.shard_count
+        result = run_shard(
+            _request(args), args.shard_index, args.shard_count,
+            plan_path=args.plan,
+        )
+        out = args.out or (
+            f"shard-{args.shard_index:04d}-of-{args.shard_count:04d}.shard"
         )
         write_shard_result(result, out)
         print(
-            f"shard {spec.shard_index}/{spec.shard_count}: "
-            f"{len(result.results)} mutants -> {out}"
+            f"shard {args.shard_index}/{args.shard_count}: "
+            f"{len(result.result.results)} mutants -> {out}"
         )
         return 0
 
@@ -220,49 +158,6 @@ def main(argv: list[str] | None = None) -> int:
         if missing:
             print(f"missing: {missing}")
             return 1
-        return 0
-
-    if args.command == "run-local":
-        if (args.shard_count is None) == (args.engine is None):
-            parser.error("run-local needs exactly one of "
-                         "--shard-count or --engine")
-        if args.engine is not None:
-            from repro.mutation.runner import run_driver_campaign
-
-            result = run_driver_campaign(
-                driver=args.driver,
-                mode=args.mode,
-                fraction=args.fraction,
-                seed=args.seed,
-                workers=args.engine,
-                backend=args.backend,
-                compile_cache=args.compile_cache,
-                boot_checkpoint=args.boot_checkpoint,
-                checkpoint_granularity=args.granularity,
-                step_budget=args.step_budget,
-            )
-            print(_render(result))
-            return 0
-        result = sharded_campaign(
-            driver=args.driver,
-            mode=args.mode,
-            fraction=args.fraction,
-            seed=args.seed,
-            shard_count=args.shard_count,
-            out_dir=args.out_dir,
-            backend=args.backend,
-            compile_cache=args.compile_cache,
-            boot_checkpoint=args.boot_checkpoint,
-            checkpoint_granularity=args.granularity,
-            step_budget=args.step_budget,
-            echo=lambda command: print("+", " ".join(command)),
-        )
-        print(_render(result))
-        return 0
-
-    if args.command == "resume":
-        result = resume_missing(args.out_dir)
-        print(_render(result))
         return 0
 
     parser.error(f"unknown command {args.command!r}")  # pragma: no cover

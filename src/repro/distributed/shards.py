@@ -1,15 +1,17 @@
 """Shard execution, shard-result files, and the index-space merge.
 
-:func:`run_shard` evaluates one :class:`~repro.distributed.sharding.ShardSpec`
-— re-deriving the campaign's sampled mutant list locally, evaluating only
-this shard's stride of it, and stamping the result with the campaign's
-full identity (parameters, baseline source digest, checkpoint-plan
-digest).  :func:`write_shard_result` / :func:`read_shard_result` move
-results through the self-describing container format
-(`repro.serialize`), and :func:`merge_shard_results` reassembles a
-:class:`~repro.mutation.runner.CampaignResult` **identical to the
-serial run**: results ordered by sampled-mutant index, checkpoint
-counters summed.
+:func:`run_shard` evaluates one shard of any campaign request — driver,
+scenario, fault or Devil-spec — through the request's own campaign
+target (`repro.mutation.runner.CampaignTarget`): it warms the target,
+samples the campaign's items, evaluates only this shard's stride of
+them with the serial loop every other path uses, and stamps the result
+with the campaign's full identity (resolved warm spec, sampling
+parameters, baseline source digest, checkpoint-plan digest).
+:func:`write_shard_result` / :func:`read_shard_result` move results
+through the self-describing container format (`repro.serialize`), and
+:func:`merge_shard_results` reassembles the result ``run_request``
+returns for the request **identical to the serial run**: rows ordered
+by sampled index, checkpoint counters summed.
 
 The merge is defensive by design — distributed runs lose shards and
 re-run them, so it validates before it trusts:
@@ -23,27 +25,19 @@ re-run them, so it validates before it trusts:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass
 
-from repro.distributed.sharding import ShardSpec
-from repro.kernel.checkpoint import (
-    checkpointing_enabled_by_env,
-    granularity_from_env,
-    pinned_granularity,
-    read_plan_header,
-    source_digest,
-)
-from repro.mutation.runner import (
-    CampaignResult,
-    MutantResult,
-    evaluate_campaign,
-    prepare_campaign,
-)
+from repro.mutation.runner import ProgressFn, _merge_stats, evaluate_serial
 
 #: Container kind + payload schema revision for shard-result files.
+#: Format 2: any campaign kind, the shard carrying its stride's result.
 SHARD_KIND = "shard-result"
-SHARD_FORMAT_VERSION = 1
+SHARD_FORMAT_VERSION = 2
+
+#: Header fields that describe one shard file rather than its campaign.
+_SHARD_FIELDS = ("shard_format", "shard_index", "evaluated")
 
 
 class ShardMergeError(ValueError):
@@ -52,19 +46,19 @@ class ShardMergeError(ValueError):
 
 @dataclass
 class ShardResult:
-    """One shard's evaluated mutants plus the campaign identity.
+    """One shard's evaluated stride plus the campaign identity.
 
     ``campaign`` is the flat identity dict every sibling shard must
-    match (see :func:`campaign_identity`); ``indices`` are the global
-    sampled-mutant indices this shard evaluated, aligned with
-    ``results``.
+    match; ``indices`` are the global sampled-item indices this shard
+    evaluated, aligned with ``result.results``.  ``result`` is what the
+    campaign's target builds (``target.result``) over this stride alone:
+    the merge puts every shard's rows and summed counters into it.
     """
 
     campaign: dict
     shard_index: int
     indices: tuple[int, ...]
-    results: list[MutantResult]
-    checkpoint_stats: dict | None = None
+    result: object
 
     @property
     def shard_count(self) -> int:
@@ -79,130 +73,73 @@ def file_digest(path) -> str:
     return digest.hexdigest()
 
 
-def campaign_identity(
-    spec: ShardSpec,
-    source: str,
-    tested_total: int,
-    enumerated: int,
-    clean_steps: int,
-    step_budget: int,
-    boot_checkpoint: bool,
-    granularity: str | None,
-    plan_sha256: str | None,
-) -> dict:
-    """The flat dict all shards of one campaign must agree on.
+def _check_coordinates(shard_index: int, shard_count: int) -> None:
+    if shard_count < 1:
+        raise ValueError(f"shard_count {shard_count} must be >= 1")
+    if not 0 <= shard_index < shard_count:
+        raise ValueError(
+            f"shard_index {shard_index} outside [0, {shard_count})"
+        )
 
-    Everything here is either a campaign parameter or a value derived
-    deterministically from the parameters (baseline digest, sampled
-    count, budget) — so equality across shard files is both a merge
-    precondition and an end-to-end determinism check.
+
+def shard_indices(total: int, shard_index: int, shard_count: int) -> range:
+    """The sampled-item indices shard ``shard_index`` evaluates.
+
+    The index space ``range(total)`` is partitioned by stride —
+    ``range(shard_index, total, shard_count)`` — so the union over all
+    shards covers every index exactly once, every shard's share differs
+    in size by at most one, and a shard needs nothing but its own
+    coordinates to know its slice.
     """
-    return {
-        "driver": spec.driver,
-        "mode": spec.mode,
-        "fraction": spec.fraction,
-        "seed": spec.seed,
-        "shard_count": spec.shard_count,
-        "backend": spec.backend,
-        "compile_cache": spec.compile_cache,
-        "boot_checkpoint": boot_checkpoint,
-        "granularity": granularity,
-        "step_budget": step_budget,
-        "source_sha256": source_digest(source),
-        "tested_total": tested_total,
-        "enumerated": enumerated,
-        "clean_steps": clean_steps,
-        "plan_sha256": plan_sha256,
-    }
+    _check_coordinates(shard_index, shard_count)
+    return range(shard_index, total, shard_count)
 
 
 def run_shard(
-    spec: ShardSpec,
+    request,
+    shard_index: int,
+    shard_count: int,
     plan_path=None,
-    progress=None,
+    progress: ProgressFn | None = None,
 ) -> ShardResult:
-    """Evaluate one shard of a campaign, coordination-free.
+    """Evaluate one shard of a campaign request, coordination-free.
 
-    The shard re-derives the campaign's sampled mutant list from the
-    spec alone (`repro.mutation.runner.prepare_campaign` is
-    deterministic) and evaluates its own stride of it.  ``plan_path``
-    names a portable checkpoint plan
-    (`repro.kernel.checkpoint.save_plan`): the instrumented clean boot
-    then ships to the shard instead of being re-recorded; giving one
-    implies boot checkpointing.  The stride is evaluated serially: a
-    shard is the unit of parallelism.
+    ``request`` is any campaign request (`repro.engine.state`).  The
+    shard re-derives the campaign's sampled items from the request alone
+    (enumeration and sampling are deterministic) and evaluates its own
+    stride of them serially: a shard is the unit of multi-host work.
+    ``plan_path`` names a portable checkpoint plan
+    (`repro.kernel.checkpoint.save_plan`, or ``record-plan`` on the
+    CLI): the instrumented clean boot then ships to the shard instead of
+    being re-recorded.  It implies boot checkpointing; combined with
+    ``boot_checkpoint=False``, or given for a fault or spec campaign
+    (which have no portable plan), it raises ``ValueError``.
+    ``run_shard(request, 0, 1, plan_path=...)`` is a whole campaign
+    from a plan file.
     """
-    spec.validate()
-    boot_checkpoint = spec.boot_checkpoint
-    if plan_path is not None and boot_checkpoint is None:
-        boot_checkpoint = True
-    if boot_checkpoint is None:
-        boot_checkpoint = checkpointing_enabled_by_env()
-    if plan_path is not None and not boot_checkpoint:
-        raise ValueError("plan_path given but boot_checkpoint=False")
-
-    granularity = None
-    pinned = None
-    plan_sha256 = None
-    if boot_checkpoint:
-        # Resolved only when checkpointing is on, so a stale environment
-        # value cannot abort a non-checkpointed shard.
-        pinned = pinned_granularity(spec.checkpoint_granularity)
-        if plan_path is not None:
-            # The plan file is the campaign-wide source of truth; its
-            # header names the granularity without deserialising
-            # anything, and its digest ties every shard to the same
-            # recorded clean boot.  A pinned granularity (explicit or
-            # environment override) must match it, exactly as the
-            # serial runner's load refuses.
-            granularity = read_plan_header(plan_path)["granularity"]
-            if pinned is not None and pinned != granularity:
-                raise ValueError(
-                    f"plan {plan_path} records granularity "
-                    f"{granularity!r}, campaign requires {pinned!r} — "
-                    "re-record the plan for this campaign"
-                )
-            plan_sha256 = file_digest(plan_path)
-        else:
-            granularity = pinned or granularity_from_env()
-
-    setup = prepare_campaign(
-        spec.driver,
-        spec.mode,
-        spec.fraction,
-        spec.seed,
-        step_budget=spec.step_budget,
-        backend=spec.backend,
-        compile_cache=spec.compile_cache,
-    )
-    indices = tuple(spec.indices(len(setup.tested)))
-    results, stats = evaluate_campaign(
-        setup,
-        indices,
-        backend=spec.backend,
-        compile_cache=spec.compile_cache,
-        boot_checkpoint=boot_checkpoint,
-        checkpoint_granularity=granularity or "subcall",
-        granularity_pinned=pinned is not None or plan_path is not None,
-        checkpoint_plan=plan_path,
-        progress=progress,
+    _check_coordinates(shard_index, shard_count)
+    spec = request.warm_spec(plan_path)
+    target = spec.target(plan_path)
+    params = request.params
+    items = target.tested(params, request.seed)
+    indices = shard_indices(len(items), shard_index, shard_count)
+    campaign = {
+        **dataclasses.asdict(spec),
+        "params": params,
+        "seed": request.seed,
+        "shard_count": shard_count,
+        "tested_total": len(items),
+        "plan_sha256": file_digest(plan_path) if plan_path else None,
+        **target.fingerprint(),
+    }
+    rows, stats = evaluate_serial(
+        target, [items[index] for index in indices], progress
     )
     return ShardResult(
-        campaign=campaign_identity(
-            spec,
-            setup.source,
-            tested_total=len(setup.tested),
-            enumerated=setup.enumerated,
-            clean_steps=setup.clean_steps,
-            step_budget=setup.budget,
-            boot_checkpoint=boot_checkpoint,
-            granularity=granularity,
-            plan_sha256=plan_sha256,
-        ),
-        shard_index=spec.shard_index,
-        indices=indices,
-        results=results,
-        checkpoint_stats=stats,
+        campaign=campaign,
+        shard_index=shard_index,
+        indices=tuple(indices),
+        result=target.result(request, rows, stats, ()),
     )
 
 
@@ -216,7 +153,7 @@ def write_shard_result(result: ShardResult, path) -> dict:
     header = dict(result.campaign)
     header["shard_format"] = SHARD_FORMAT_VERSION
     header["shard_index"] = result.shard_index
-    header["evaluated"] = len(result.results)
+    header["evaluated"] = len(result.result.results)
     write_container(path, SHARD_KIND, header, result)
     return header
 
@@ -252,28 +189,33 @@ def _check_shard_version(header: dict, path) -> None:
 # -- merging ------------------------------------------------------------------
 
 
-def merge_shard_results(shards: list[ShardResult]) -> CampaignResult:
+def _check_same_campaign(identities: list[dict], what: str) -> None:
+    first = identities[0]
+    for identity in identities[1:]:
+        if identity != first:
+            differing = sorted(
+                key
+                for key in set(first) | set(identity)
+                if first.get(key) != identity.get(key)
+            )
+            raise ShardMergeError(
+                f"{what} disagree on campaign identity "
+                f"(differing fields: {', '.join(differing)})"
+            )
+
+
+def merge_shard_results(shards: list[ShardResult]):
     """Reassemble the serial campaign result from a full shard set.
 
     Validates campaign identity, shard coverage and index coverage
-    before merging; the returned ``CampaignResult`` equals the serial
-    ``run_driver_campaign`` result field for field (results in sampled
-    order, checkpoint counters summed).
+    before merging; the returned result equals ``run_request(request)``
+    for the shards' request field for field (rows in sampled order,
+    checkpoint counters summed).
     """
     if not shards:
         raise ShardMergeError("no shard results to merge")
+    _check_same_campaign([shard.campaign for shard in shards], "shards")
     campaign = shards[0].campaign
-    for shard in shards[1:]:
-        if shard.campaign != campaign:
-            differing = sorted(
-                key
-                for key in set(campaign) | set(shard.campaign)
-                if campaign.get(key) != shard.campaign.get(key)
-            )
-            raise ShardMergeError(
-                "shards disagree on campaign identity "
-                f"(differing fields: {', '.join(differing)})"
-            )
     shard_count = campaign["shard_count"]
     total = campaign["tested_total"]
 
@@ -291,42 +233,35 @@ def merge_shard_results(shards: list[ShardResult]) -> CampaignResult:
             "re-run them and merge again"
         )
 
-    merged: list[MutantResult | None] = [None] * total
-    for shard in seen.values():
-        expected = tuple(range(shard.shard_index, total, shard_count))
+    rows: list = [None] * total
+    stats: dict | None = None
+    for index in range(shard_count):
+        shard = seen[index]
+        expected = tuple(range(index, total, shard_count))
         if tuple(shard.indices) != expected:
             raise ShardMergeError(
-                f"shard {shard.shard_index} covers indices "
+                f"shard {index} covers indices "
                 f"{list(shard.indices)[:4]}..., expected stride "
                 f"{list(expected)[:4]}..."
             )
-        if len(shard.results) != len(shard.indices):
+        stride = shard.result.results
+        if len(stride) != len(shard.indices):
             raise ShardMergeError(
-                f"shard {shard.shard_index} holds {len(shard.results)} "
+                f"shard {index} holds {len(stride)} "
                 f"results for {len(shard.indices)} indices"
             )
-        for index, result in zip(shard.indices, shard.results):
-            merged[index] = result
-    assert all(result is not None for result in merged)
-
-    stats: dict | None = None
-    for shard in sorted(seen.values(), key=lambda s: s.shard_index):
-        if shard.checkpoint_stats is not None:
-            if stats is None:
-                stats = {}
-            for key, value in shard.checkpoint_stats.items():
-                stats[key] = stats.get(key, 0) + value
-    return CampaignResult(
-        driver=campaign["driver"],
-        enumerated=campaign["enumerated"],
-        results=merged,  # type: ignore[arg-type]
-        clean_steps=campaign["clean_steps"],
-        step_budget=campaign["step_budget"],
-        checkpoint_stats=stats,
-    )
+        for position, row in zip(shard.indices, stride):
+            rows[position] = row
+        stats = _merge_stats(
+            stats, getattr(shard.result, "checkpoint_stats", None)
+        )
+    merged = {"results": rows}
+    if stats is not None:  # kinds without counters never sum any
+        merged["checkpoint_stats"] = stats
+    return dataclasses.replace(seen[0].result, **merged)
 
 
-def merge_shard_files(paths) -> CampaignResult:
+def merge_shard_files(paths):
     """Merge shard-result files (any order) into the campaign result."""
     return merge_shard_results([read_shard_result(path) for path in paths])
 
@@ -335,8 +270,10 @@ def missing_shard_indices(paths) -> tuple[list[int], int]:
     """``(missing shard indices, shard_count)`` across shard files.
 
     Reads only headers, so scanning a crashed run's output directory is
-    cheap.  The resume workflow: re-run exactly these shards, then
-    merge the full set.
+    cheap; files from different campaigns raise :class:`ShardMergeError`
+    naming the differing fields, as the merge would.  The recovery
+    workflow: re-run exactly the missing shards, then merge the full
+    set.
     """
     headers = [read_shard_header(path) for path in paths]
     if not headers:
@@ -344,11 +281,15 @@ def missing_shard_indices(paths) -> tuple[list[int], int]:
             "no shard files found; shard_count unknown — re-run the "
             "campaign or pass the shard files explicitly"
         )
-    counts = {header["shard_count"] for header in headers}
-    if len(counts) != 1:
-        raise ShardMergeError(
-            f"shard files disagree on shard_count: {sorted(counts)}"
-        )
-    shard_count = counts.pop()
+    identities = [
+        {
+            key: value
+            for key, value in header.items()
+            if key not in _SHARD_FIELDS
+        }
+        for header in headers
+    ]
+    _check_same_campaign(identities, "shard files")
+    shard_count = identities[0]["shard_count"]
     present = {header["shard_index"] for header in headers}
     return sorted(set(range(shard_count)) - present), shard_count

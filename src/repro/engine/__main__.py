@@ -23,12 +23,14 @@ import dataclasses
 import json
 import sys
 
-from repro.distributed.sharding import DRIVERS, MODES
 from repro.kernel.checkpoint import GRANULARITIES
 from repro.mutation.sampling import DEFAULT_SEED
 from repro.engine.daemon import EngineClient, serve
 from repro.engine.state import CampaignRequest, SpecRequest
 from repro.engine.supervision import SupervisionPolicy
+
+DRIVERS = ("c", "cdevil")
+MODES = ("debug", "production")
 
 
 def _request_arguments(parser: argparse.ArgumentParser) -> None:

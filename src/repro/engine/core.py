@@ -11,9 +11,12 @@ shards ran the sampled campaign at 0.4× the serial checkpointed speed.
   compiler, recorded checkpoint plan with its pristine machine
   snapshot) *before* forking, so under the default ``fork`` start
   method every worker inherits it by memory inheritance, paying zero
-  setup.  Specs warmed after the pool exists are recorded once in the
-  parent and shipped to workers as portable plan files
-  (`repro.kernel.checkpoint.save_plan`) — a load, not a re-recording;
+  setup.  A worker moves the heap it starts with out of the cyclic
+  collector's reach (``gc.freeze``), so its full collections walk only
+  what it allocated itself, not every inherited object.  Specs warmed
+  after the pool exists are recorded once in the parent and shipped to
+  workers as portable plan files (`repro.kernel.checkpoint.save_plan`)
+  — a load, not a re-recording;
 * **long-lived workers** — a worker evaluates mutants from any number
   of campaign submissions against its resident state; batch evaluation
   happens inside one process off the snapshot tree, with no per-mutant
@@ -53,6 +56,7 @@ silently corrupting the merge.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import multiprocessing
 import os
@@ -133,6 +137,11 @@ def _worker_main(worker_id: int, conn, warm_payload) -> None:
         for spec, plan_path in warm_payload:
             if spec not in states:
                 states[spec] = WarmState.build(spec, plan_path=plan_path)
+        # The starting heap (warm states included) lives as long as the
+        # worker.  Frozen, it is not walked by full collections, which
+        # over 50 warm scenarios take ~100 ms each on a 2-vCPU host and
+        # stall whichever lease is running.
+        gc.freeze()
         while True:
             message = conn.recv()
             op = message[0]

@@ -18,6 +18,11 @@ split into two parts with very different costs:
   the already-enumerated population (``params`` is the ``fraction``, or
   a fault campaign's ``(per_dimension, dimensions)``).
 
+Every request's ``warm_spec(plan_path=None)`` takes the portable plan
+file its target will load (`repro.distributed.run_shard`): for
+source-mutant requests a plan implies checkpointing, and the fault and
+spec targets refuse one.
+
 A warm spec builds a campaign target (`repro.mutation.runner.CampaignTarget`)
 — the same object the serial runners loop over — and
 :class:`WarmState` holds one warmed target and evaluates arbitrary
@@ -69,9 +74,9 @@ class WarmSpec:
         return _TARGETS[self.kind](self, plan_path)
 
 
-def _mutant_spec(request, **identity) -> WarmSpec:
+def _mutant_spec(request, plan_path, **identity) -> WarmSpec:
     boot_checkpoint, granularity, pinned = resolve_checkpoint_options(
-        request.boot_checkpoint, request.granularity
+        request.boot_checkpoint, request.granularity, plan_path
     )
     return WarmSpec(
         backend=request.backend,
@@ -108,9 +113,9 @@ class CampaignRequest:
     def params(self) -> float:
         return self.fraction
 
-    def warm_spec(self) -> WarmSpec:
+    def warm_spec(self, plan_path: str | None = None) -> WarmSpec:
         return _mutant_spec(
-            self, kind="driver", driver=self.driver, mode=self.mode
+            self, plan_path, kind="driver", driver=self.driver, mode=self.mode
         )
 
 
@@ -127,7 +132,7 @@ class SpecRequest:
     def params(self) -> float:
         return self.fraction
 
-    def warm_spec(self) -> WarmSpec:
+    def warm_spec(self, plan_path: str | None = None) -> WarmSpec:
         return WarmSpec(
             kind="devil",
             spec_name=self.spec_name,
@@ -159,8 +164,10 @@ class ScenarioRequest:
     def params(self) -> float:
         return self.fraction
 
-    def warm_spec(self) -> WarmSpec:
-        return _mutant_spec(self, kind="scenario", scenario_id=self.scenario_id)
+    def warm_spec(self, plan_path: str | None = None) -> WarmSpec:
+        return _mutant_spec(
+            self, plan_path, kind="scenario", scenario_id=self.scenario_id
+        )
 
 
 @dataclass(frozen=True)
@@ -192,7 +199,7 @@ class FaultRequest:
             dimensions = dimensions_from_env()
         return self.per_dimension, tuple(dimensions)
 
-    def warm_spec(self) -> WarmSpec:
+    def warm_spec(self, plan_path: str | None = None) -> WarmSpec:
         # Fault campaigns always record a plan: resolve as checkpointed.
         _, granularity, _ = resolve_checkpoint_options(True, self.granularity)
         injection = self.injection
@@ -245,11 +252,21 @@ def _scenario_target(spec: WarmSpec, plan_path) -> MutantTarget:
     return _mutant_target(setup, spec, plan_path)
 
 
+def _refuse_plan(spec: WarmSpec, plan_path) -> None:
+    if plan_path is not None:
+        raise ValueError(
+            f"{spec.kind} campaigns have no portable checkpoint plan; "
+            f"cannot load {plan_path}"
+        )
+
+
 def _devil_target(spec: WarmSpec, plan_path) -> DevilTarget:
+    _refuse_plan(spec, plan_path)
     return DevilTarget(spec.spec_name, spec.compile_cache)
 
 
 def _fault_target(spec: WarmSpec, plan_path) -> FaultTarget:
+    _refuse_plan(spec, plan_path)
     return FaultTarget(
         FaultContext.build(
             spec.driver,

@@ -31,30 +31,17 @@ def run(
     fraction: float = 1.0,
     seed: int = 4136,
     progress=None,
-    shards: int = 1,
     engine: int = 0,
 ) -> CampaignResult:
-    """The Table 3 campaign; ``shards``/``engine`` parallelise it.
+    """The Table 3 campaign; ``engine`` > 0 parallelises it.
 
-    Sharded runs fan out over local processes through
-    `repro.distributed` (one shard per process, checkpoint plan recorded
-    once) and merge to the identical ``CampaignResult`` — the route to
-    full-fraction reproductions that outgrow one host.  ``engine`` > 0
-    instead runs ``run_driver_campaign(workers=engine)``: a supervised
-    `repro.engine.Engine` with that many workers (work-stealing over the
-    mutant index space, result identical to serial).  ``progress`` is
-    per-mutant and forwarded on the serial and engine paths; shard
-    processes report completion per shard file, not per mutant, so the
-    shard path does not forward it.
+    ``engine`` > 0 runs ``run_driver_campaign(workers=engine)``: a
+    supervised `repro.engine.Engine` with that many workers
+    (work-stealing over the mutant index space, result identical to
+    serial).  ``progress`` is per-mutant.  Multi-host runs shard the
+    campaign with `repro.distributed` and render the merged shard files
+    with ``--from-shards``.
     """
-    if shards > 1 and engine:
-        raise ValueError("shards and engine are mutually exclusive")
-    if shards > 1:
-        from repro.distributed import sharded_campaign
-
-        return sharded_campaign(
-            "c", fraction=fraction, seed=seed, shard_count=shards
-        )
     return run_driver_campaign(
         "c", fraction=fraction, seed=seed, progress=progress,
         workers=max(engine, 1),
@@ -75,13 +62,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--fraction", type=float, default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="run the campaign as N local shard processes (plan "
-        "recorded once; merged result identical to --shards 1)",
-    )
-    parser.add_argument(
         "--engine",
         type=int,
         default=None,
@@ -98,30 +78,25 @@ def main(argv: list[str] | None = None) -> int:
         "(written by `python -m repro.distributed run-shard`)",
     )
     args = parser.parse_args(argv)
-    if args.shards and args.engine:
-        parser.error("--shards and --engine are mutually exclusive")
     if args.from_shards:
-        if (args.fraction, args.seed, args.shards, args.engine) != (
-            None, None, None, None,
-        ):
+        if (args.fraction, args.seed, args.engine) != (None, None, None):
             parser.error(
                 "--from-shards merges pre-computed results; "
-                "--fraction/--seed/--shards belong to the run that "
+                "--fraction/--seed/--engine belong to the run that "
                 "produced them"
             )
         from repro.distributed import merge_shard_files
 
         result = merge_shard_files(args.from_shards)
-        if result.driver != "c":
+        if not isinstance(result, CampaignResult) or result.driver != "c":
             parser.error(
-                f"shard files hold a {result.driver!r} campaign, "
-                "not Table 3's C driver"
+                "shard files do not hold a mutation campaign of "
+                "Table 3's C driver"
             )
     else:
         result = run(
             fraction=0.25 if args.fraction is None else args.fraction,
             seed=4136 if args.seed is None else args.seed,
-            shards=args.shards or 1,
             engine=args.engine or 0,
         )
     print(render(result))

@@ -34,25 +34,14 @@ def run(
     seed: int = 4136,
     mode: str = "debug",
     progress=None,
-    shards: int = 1,
     engine: int = 0,
 ) -> CampaignResult:
-    """The Table 4 campaign; ``shards`` > 1 runs it as a sharded campaign
-    over local processes (`repro.distributed`), merged to the identical
-    ``CampaignResult``; ``engine`` > 0 runs it as
+    """The Table 4 campaign; ``engine`` > 0 runs it as
     ``run_driver_campaign(workers=engine)``, on a supervised
-    `repro.engine.Engine` with that many work-stealing workers (also
-    identical).  ``progress`` is per-mutant and forwarded on the serial
-    and engine paths (shards report per shard file, not per mutant)."""
-    if shards > 1 and engine:
-        raise ValueError("shards and engine are mutually exclusive")
-    if shards > 1:
-        from repro.distributed import sharded_campaign
-
-        return sharded_campaign(
-            "cdevil", mode=mode, fraction=fraction, seed=seed,
-            shard_count=shards,
-        )
+    `repro.engine.Engine` with that many work-stealing workers (result
+    identical to serial).  ``progress`` is per-mutant.  Multi-host runs
+    shard the campaign with `repro.distributed` and render the merged
+    shard files with ``--from-shards``."""
     return run_driver_campaign(
         "cdevil", mode=mode, fraction=fraction, seed=seed, progress=progress,
         workers=max(engine, 1),
@@ -76,13 +65,6 @@ def main(argv: list[str] | None = None) -> int:
         "--mode", choices=("debug", "production"), default=None
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="run the campaign as N local shard processes (plan "
-        "recorded once; merged result identical to --shards 1)",
-    )
-    parser.add_argument(
         "--engine",
         type=int,
         default=None,
@@ -99,31 +81,28 @@ def main(argv: list[str] | None = None) -> int:
         "(written by `python -m repro.distributed run-shard`)",
     )
     args = parser.parse_args(argv)
-    if args.shards and args.engine:
-        parser.error("--shards and --engine are mutually exclusive")
     if args.from_shards:
-        if (args.fraction, args.seed, args.mode, args.shards, args.engine) != (
-            None, None, None, None, None,
+        if (args.fraction, args.seed, args.mode, args.engine) != (
+            None, None, None, None,
         ):
             parser.error(
                 "--from-shards merges pre-computed results; "
-                "--fraction/--seed/--mode/--shards/--engine belong to "
+                "--fraction/--seed/--mode/--engine belong to "
                 "the run that produced them"
             )
         from repro.distributed import merge_shard_files
 
         result = merge_shard_files(args.from_shards)
-        if result.driver != "cdevil":
+        if not isinstance(result, CampaignResult) or result.driver != "cdevil":
             parser.error(
-                f"shard files hold a {result.driver!r} campaign, "
-                "not Table 4's CDevil driver"
+                "shard files do not hold a mutation campaign of "
+                "Table 4's CDevil driver"
             )
     else:
         result = run(
             fraction=1.0 if args.fraction is None else args.fraction,
             seed=4136 if args.seed is None else args.seed,
             mode=args.mode or "debug",
-            shards=args.shards or 1,
             engine=args.engine or 0,
         )
     print(render(result))

@@ -27,15 +27,10 @@ POINT_KEYS = (
     "fraction",
     "seed",
     "tested",
-    #: Shard-process count of the run's sharded configuration (1 for a
-    #: purely single-host point) — distinguishes single-host and
-    #: sharded trajectory points.
-    "shard_count",
     "legacy_mutants_per_sec",
     "fast_mutants_per_sec",
     "source_mutants_per_sec",
     "checkpoint_mutants_per_sec",
-    "sharded_mutants_per_sec",
     #: Warm-engine configuration and throughput (PR 6+): worker count,
     #: warm-submission throughput, and its ratio to the serial
     #: checkpointed run of the same point.

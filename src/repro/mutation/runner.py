@@ -7,11 +7,14 @@ are deterministic under a seed — including under parallel execution.
 Every campaign kind — driver and scenario mutants, environment faults
 (`repro.faults`), Devil specs — is a :class:`CampaignTarget`: warmed
 once, then asked for its sampled items and for one item's row at a
-time.  :func:`evaluate_serial` is the one serial loop over a target;
-``workers=N`` submits the campaign's request to a throwaway supervised
-`repro.engine.Engine` (:func:`run_request`), whose workers run the same
+time.  Each runner builds its kind's request (`repro.engine.state`) and
+hands it to :func:`run_request`: serially, :func:`evaluate_serial` is
+the one loop over a target; ``workers=N`` submits the request to a
+throwaway supervised `repro.engine.Engine`, whose workers run the same
 target methods and merge rows back by sampled index, so any worker
-count produces the same result as ``workers=1``.
+count produces the same result as ``workers=1``.  A shard
+(`repro.distributed.run_shard`) is the same loop over an index stride
+of the same target's sampled items.
 
 Per-mutant cost is kept low by two campaign-scoped optimisations, both
 individually defeatable for reference runs:
@@ -53,6 +56,7 @@ from repro.kernel.checkpoint import (
     record_plan,
     resume_boot,
     save_plan,
+    source_digest,
 )
 from repro.kernel.kernel import DEFAULT_STEP_BUDGET, boot
 from repro.kernel.outcomes import BootOutcome
@@ -325,6 +329,11 @@ class CampaignTarget:
         later; ``None`` when the target has no portable plan."""
         return None
 
+    def fingerprint(self) -> dict:
+        """Digests of inputs the rows depend on beyond the warm spec, which
+        every shard of one campaign must share (`repro.distributed`)."""
+        return {}
+
 
 def _stats_delta(before: dict | None, after: dict | None) -> dict | None:
     """One item's increment of the checkpoint counters (``None`` when the
@@ -430,27 +439,24 @@ KERNEL_HARNESS = KernelHarness()
 class CampaignSetup:
     """The deterministic front half of a mutation campaign.
 
-    Everything up to (and including) mutant enumeration, sampling and
-    the baseline boot — derived from ``(driver, mode, fraction, seed)``
-    alone, so any process that runs :func:`prepare_campaign` with the
-    same arguments sees the identical ``tested`` list.  This is what
-    makes multi-host sharding coordination-free: a shard derives its own
-    mutant slice from the shared parameters (`repro.distributed`).
-    Generated scenarios build the same setup with their own ``harness``
+    Everything up to (and including) mutant enumeration and the baseline
+    boot — derived from ``(driver, mode)`` alone, so every process that
+    runs :func:`prepare_campaign` with the same arguments sees the
+    identical population, and :meth:`MutantTarget.tested` samples the
+    identical items from it.  This is what makes shards
+    coordination-free (`repro.distributed`).  Generated scenarios build
+    the same setup with their own ``harness``
     (`repro.scenarios.campaign.prepare_scenario_campaign`).
     """
 
     #: The result label: ``"c"``, ``"cdevil"`` or ``"scenario:<id>"``.
     driver: str
     mode: str
-    fraction: float
-    seed: int
     files: list[SourceFile]
     registry: dict[str, str]
     driver_filename: str
     source: str
     mutants: list[Mutant]
-    tested: list[Mutant]
     clean_steps: int
     budget: int
     compiler: CampaignCompiler | None = None
@@ -483,13 +489,11 @@ def assemble_driver(
 def prepare_campaign(
     driver: str = "c",
     mode: str = "debug",
-    fraction: float = 1.0,
-    seed: int = DEFAULT_SEED,
     step_budget: int | None = None,
     backend: str | None = None,
     compile_cache: bool = True,
 ) -> CampaignSetup:
-    """Assemble, enumerate, sample and baseline-boot one campaign."""
+    """Assemble, enumerate and baseline-boot one campaign."""
     regions = None
     files, registry, driver_filename = assemble_driver(driver, mode)
     if driver == "c":
@@ -512,7 +516,6 @@ def prepare_campaign(
         source, driver_filename, pools, include_registry=registry,
         regions=regions, compiler=campaign_compiler,
     )
-    tested = sample_mutants(mutants, fraction, seed)
 
     # Baseline: the unmutated driver must boot cleanly.
     baseline_program = compile_program(files, registry)
@@ -525,14 +528,11 @@ def prepare_campaign(
     return CampaignSetup(
         driver=driver,
         mode=mode,
-        fraction=fraction,
-        seed=seed,
         files=files,
         registry=registry,
         driver_filename=driver_filename,
         source=source,
         mutants=mutants,
-        tested=tested,
         clean_steps=baseline.steps,
         budget=budget,
         compiler=campaign_compiler,
@@ -643,6 +643,9 @@ class MutantTarget(CampaignTarget):
         save_plan(self.plan, path, self.setup.source, self.setup.driver_filename)
         return path
 
+    def fingerprint(self) -> dict:
+        return {"source_sha256": source_digest(self.setup.source)}
+
     def _stats(self) -> dict | None:
         return dict(self.plan.stats) if self.plan is not None else None
 
@@ -716,72 +719,6 @@ class MutantTarget(CampaignTarget):
         return harness.boot(program, machine, self.setup.budget, backend)
 
 
-def shard_indices(total: int, shard_index: int, shard_count: int) -> range:
-    """The sampled-mutant indices shard ``shard_index`` evaluates.
-
-    The index space ``range(total)`` is partitioned by stride —
-    ``range(shard_index, total, shard_count)`` — so the union over all
-    shards covers every index exactly once, every shard's share differs
-    in size by at most one, and a shard needs nothing but its own
-    coordinates to know its slice.
-    """
-    if shard_count < 1:
-        raise ValueError(f"shard_count {shard_count} must be >= 1")
-    if not 0 <= shard_index < shard_count:
-        raise ValueError(
-            f"shard_index {shard_index} outside [0, {shard_count})"
-        )
-    return range(shard_index, total, shard_count)
-
-
-def evaluate_campaign(
-    setup: CampaignSetup,
-    indices,
-    backend: str | None = None,
-    compile_cache: bool = True,
-    boot_checkpoint: bool = False,
-    checkpoint_granularity: str = "subcall",
-    granularity_pinned: bool = False,
-    checkpoint_plan: str | None = None,
-    workers: int = 1,
-    progress: ProgressFn | None = None,
-) -> tuple[list[MutantResult], dict | None]:
-    """Evaluate ``setup.tested[i]`` for each ``i`` in ``indices``, serially.
-
-    Results come back in ``indices`` order (sampled order for the whole
-    campaign or a shard's stride), with the summed checkpoint counters.
-    This is the loop both the classic runner and the shard runner
-    drive — the only difference is which index subset they pass.  An
-    index subset runs in this process only: ``workers`` > 1 raises (the
-    parallel form is ``run_driver_campaign(workers=N)``, and shards
-    parallelise across processes).
-    """
-    if workers > 1:
-        raise ValueError(
-            "evaluate_campaign runs serially; use "
-            "run_driver_campaign(workers=N) or shards for parallelism"
-        )
-    indices = list(indices)
-    for index in indices:
-        if not 0 <= index < len(setup.tested):
-            raise ValueError(
-                f"mutant index {index} outside sampled range "
-                f"[0, {len(setup.tested)})"
-            )
-    target = MutantTarget(
-        setup,
-        backend,
-        compile_cache,
-        boot_checkpoint,
-        checkpoint_granularity,
-        granularity_pinned,
-        checkpoint_plan,
-    )
-    return evaluate_serial(
-        target, [setup.tested[index] for index in indices], progress
-    )
-
-
 def resolve_checkpoint_options(
     boot_checkpoint: bool | None,
     checkpoint_granularity: str | None,
@@ -795,9 +732,11 @@ def resolve_checkpoint_options(
     knob unset, and the granularity env value is validated only when
     checkpointing is actually on, so a stale ``REPRO_CHECKPOINT_*``
     value cannot abort (or pin anything on) a non-checkpointed
-    campaign.  A ``checkpoint_plan`` path implies checkpointing.  The one
-    resolver behind every mutant-campaign path — serial, shards,
-    ``workers=N``, the engine and the daemon.
+    campaign.  A ``checkpoint_plan`` path (a shard loading a portable
+    plan) implies checkpointing.  The one resolver behind every
+    mutant-campaign path — serial, shards, ``workers=N``, the engine and
+    the daemon — reached through the requests' warm specs
+    (`repro.engine.state`).
     """
     if (
         checkpoint_granularity is not None
@@ -838,8 +777,6 @@ def run_driver_campaign(
     compile_cache: bool = True,
     boot_checkpoint: bool | None = None,
     checkpoint_granularity: str | None = None,
-    shard: tuple[int, int] | None = None,
-    checkpoint_plan: str | None = None,
     engine=None,
 ) -> CampaignResult:
     """Mutation campaign against a driver (Table 3: "c"; Table 4: "cdevil").
@@ -857,82 +794,28 @@ def run_driver_campaign(
     boundaries only); the ``REPRO_CHECKPOINT_GRANULARITY`` environment
     variable overrides the default.
 
-    ``shard=(shard_index, shard_count)`` restricts evaluation to that
-    shard's deterministic slice of the sampled mutants (see
-    :func:`shard_indices`); the result then holds only the shard's
-    ``results``, in sampled order — `repro.distributed` merges shards
-    back into the full campaign.  ``checkpoint_plan`` names a portable
-    plan file (`repro.kernel.checkpoint.save_plan`) to load instead of
-    recording the instrumented clean boot in-process; it implies
-    ``boot_checkpoint=True``.
-
     ``engine`` routes the whole campaign through a warm
     `repro.engine.Engine` instead of building setup state here —
     identical results, with the fixed setup cost amortised across every
     campaign the engine serves.  ``workers`` is then the engine's
-    affair.  ``shard`` and ``checkpoint_plan`` are serial, per-process
-    seams: combining either with ``engine`` or ``workers`` > 1 raises.
+    affair.  To split one campaign across hosts, or to load a portable
+    checkpoint plan, run its ``CampaignRequest`` through
+    `repro.distributed.run_shard`.
     """
-    boot_checkpoint_on, granularity, granularity_pinned = (
-        resolve_checkpoint_options(
-            boot_checkpoint, checkpoint_granularity, checkpoint_plan
-        )
-    )
-    if engine is not None or workers > 1:
-        for name, value in (
-            ("shard", shard), ("checkpoint_plan", checkpoint_plan)
-        ):
-            if value is not None:
-                raise ValueError(
-                    f"{name} runs serially: it cannot combine with "
-                    "engine= or workers > 1"
-                )
-        from repro.engine.state import CampaignRequest
+    from repro.engine.state import CampaignRequest
 
-        request = CampaignRequest(
-            driver=driver,
-            mode=mode,
-            fraction=fraction,
-            seed=seed,
-            backend=backend,
-            compile_cache=compile_cache,
-            boot_checkpoint=boot_checkpoint,
-            granularity=checkpoint_granularity,
-            step_budget=step_budget,
-        )
-        return run_request(request, workers, engine, progress)
-    setup = prepare_campaign(
-        driver,
-        mode,
-        fraction,
-        seed,
-        step_budget=step_budget,
-        backend=backend,
-        compile_cache=compile_cache,
-    )
-    indices = (
-        range(len(setup.tested))
-        if shard is None
-        else shard_indices(len(setup.tested), *shard)
-    )
-    campaign = CampaignResult(
+    request = CampaignRequest(
         driver=driver,
-        enumerated=setup.enumerated,
-        clean_steps=setup.clean_steps,
-        step_budget=setup.budget,
-    )
-    campaign.results, campaign.checkpoint_stats = evaluate_campaign(
-        setup,
-        indices,
+        mode=mode,
+        fraction=fraction,
+        seed=seed,
         backend=backend,
         compile_cache=compile_cache,
-        boot_checkpoint=boot_checkpoint_on,
-        checkpoint_granularity=granularity,
-        granularity_pinned=granularity_pinned,
-        checkpoint_plan=checkpoint_plan,
-        progress=progress,
+        boot_checkpoint=boot_checkpoint,
+        granularity=checkpoint_granularity,
+        step_budget=step_budget,
     )
-    return campaign
+    return run_request(request, workers, engine, progress)
 
 
 # -- Devil specification campaigns ----------------------------------------------

@@ -18,7 +18,8 @@ differential fuzzer's program generator
   campaign targets: a scenario boot harness (:class:`ScenarioHarness`)
   for the drivers' own `repro.mutation.runner.MutantTarget`, so
   enumeration, incremental compile, checkpoint plans and the serial,
-  ``workers=N`` and engine paths are the drivers' code.
+  shard (`repro.distributed`), ``workers=N`` and engine paths are the
+  drivers' code.
 
 ``python -m repro.scenarios`` generates, lists and runs corpora from
 the command line; `repro.engine.ScenarioRequest` serves scenario

@@ -47,14 +47,11 @@ from repro.mutation.generator import enumerate_c_mutants
 from repro.mutation.runner import (
     CampaignResult,
     CampaignSetup,
-    MutantTarget,
     ProgressFn,
     build_c_pools,
-    evaluate_serial,
-    resolve_checkpoint_options,
     run_request,
 )
-from repro.mutation.sampling import DEFAULT_SEED, sample_mutants
+from repro.mutation.sampling import DEFAULT_SEED
 from repro.mutation.tagging import Region
 from repro.scenarios.generator import ScriptedBus
 
@@ -262,18 +259,15 @@ class ScenarioHarness:
 
 def prepare_scenario_campaign(
     scenario,
-    fraction: float = 1.0,
-    seed: int = DEFAULT_SEED,
     step_budget: int | None = None,
     backend: str | None = None,
     compile_cache: bool = True,
 ) -> CampaignSetup:
-    """Enumerate, sample and baseline-run one scenario campaign.
+    """Enumerate and baseline-run one scenario campaign.
 
-    Everything is derived from ``(scenario, fraction, seed)`` alone, so
-    every process (serial runner, engine worker, daemon) sees the
-    identical ``tested`` list.  The result label is
-    ``"scenario:<id>"``.
+    Everything is derived from the scenario alone, so every process
+    (serial runner, engine worker, daemon, shard) sees the identical
+    population.  The result label is ``"scenario:<id>"``.
     """
     from repro.scenarios.corpus import DEFAULT_SCENARIO_BUDGET
 
@@ -295,7 +289,6 @@ def prepare_scenario_campaign(
         regions=[Region(0, len(scenario.source))],
         compiler=compiler,
     )
-    tested = sample_mutants(mutants, fraction, seed)
     # Fixed budget (not derived from measured baseline steps) so every
     # process derives the identical plan fingerprint from the spec.
     budget = step_budget or DEFAULT_SCENARIO_BUDGET
@@ -313,14 +306,11 @@ def prepare_scenario_campaign(
     return CampaignSetup(
         driver=f"scenario:{scenario.scenario_id}",
         mode="debug",
-        fraction=fraction,
-        seed=seed,
         files=files,
         registry={},
         driver_filename=scenario.filename,
         source=scenario.source,
         mutants=mutants,
-        tested=tested,
         clean_steps=baseline.steps,
         budget=budget,
         compiler=compiler,
@@ -344,40 +334,26 @@ def run_scenario_campaign(
     """Mutation campaign against one scenario (object or stable id).
 
     The same knobs and guarantees as
-    `repro.mutation.runner.run_driver_campaign`: checkpoint options
-    resolve through the same resolver, and ``workers=N`` (a throwaway
-    supervised engine) or ``engine=`` (a warm `repro.engine.Engine`)
-    submit the campaign as a ``ScenarioRequest``.  The result's
-    ``driver`` label is ``"scenario:<id>"`` on every path, so
+    `repro.mutation.runner.run_driver_campaign`: the campaign is a
+    ``ScenarioRequest`` run through `repro.mutation.runner.run_request`
+    — serially, on a throwaway supervised engine (``workers=N``) or on
+    a warm `repro.engine.Engine` (``engine=``).  The request names the
+    scenario by its stable id, from which every path rebuilds it.  The
+    result's ``driver`` label is ``"scenario:<id>"`` on every path, so
     engine/daemon results compare byte-identical to serial ones.
     """
-    if isinstance(scenario, str):
-        from repro.scenarios.corpus import scenario_from_id
+    from repro.engine.state import ScenarioRequest
 
-        scenario = scenario_from_id(scenario)
-    options = resolve_checkpoint_options(boot_checkpoint, checkpoint_granularity)
-    if engine is not None or workers > 1:
-        from repro.engine.state import ScenarioRequest
-
-        request = ScenarioRequest(
-            scenario_id=scenario.scenario_id,
-            fraction=fraction,
-            seed=seed,
-            backend=backend,
-            compile_cache=compile_cache,
-            boot_checkpoint=boot_checkpoint,
-            granularity=checkpoint_granularity,
-            step_budget=step_budget,
-        )
-        return run_request(request, workers, engine, progress)
-    setup = prepare_scenario_campaign(
-        scenario,
-        fraction,
-        seed,
-        step_budget=step_budget,
+    if not isinstance(scenario, str):
+        scenario = scenario.scenario_id
+    request = ScenarioRequest(
+        scenario_id=scenario,
+        fraction=fraction,
+        seed=seed,
         backend=backend,
         compile_cache=compile_cache,
+        boot_checkpoint=boot_checkpoint,
+        granularity=checkpoint_granularity,
+        step_budget=step_budget,
     )
-    target = MutantTarget(setup, backend, compile_cache, *options)
-    rows, stats = evaluate_serial(target, setup.tested, progress)
-    return target.result(None, rows, stats, ())
+    return run_request(request, workers, engine, progress)

@@ -69,6 +69,11 @@ DIGEST_KEY = "sha256"
 #: Python this project supports.
 PICKLE_PROTOCOL = 4
 
+#: Longest magic or header line a reader accepts, newline excluded.
+#: Written headers are a few hundred bytes; a line that has not ended
+#: within this many bytes is refused without reading further.
+MAX_PREAMBLE_LINE = 64 * 1024
+
 
 class ContainerError(ValueError):
     """A container file is malformed, unsupported, or of the wrong kind."""
@@ -198,9 +203,19 @@ def read_container(path, kind: str | None = None) -> tuple[dict, object]:
     return header, canonical_loads(body)
 
 
+def _read_line(handle, path, what: str) -> bytes:
+    line = handle.readline(MAX_PREAMBLE_LINE + 1)
+    if not line.endswith(b"\n"):
+        raise ContainerError(
+            f"{path}: container {what} line is truncated or longer "
+            f"than {MAX_PREAMBLE_LINE} bytes"
+        )
+    return line
+
+
 def _read_preamble(handle, path, kind: str | None) -> tuple[dict, str]:
     """``(header without its digest, digest)``, validated."""
-    magic_line = handle.readline()
+    magic_line = _read_line(handle, path, "magic")
     try:
         magic, fmt, found_kind = magic_line.decode("ascii").split()
         format_number = int(fmt)
@@ -217,7 +232,7 @@ def _read_preamble(handle, path, kind: str | None) -> tuple[dict, str]:
         raise ContainerError(
             f"{path}: container holds {found_kind!r}, expected {kind!r}"
         )
-    header_line = handle.readline()
+    header_line = _read_line(handle, path, "header")
     try:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, ValueError):

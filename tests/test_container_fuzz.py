@@ -1,30 +1,43 @@
 """Plan and shard containers fail closed when corrupted.
 
 A saved checkpoint plan or shard-result file that was truncated, had a
-bit flipped anywhere — magic line, JSON header or pickle payload — or
-was written in another container format must raise a typed error
-(``ContainerError`` or ``PlanError``), never an arbitrary unpickling
-exception, and must never load silently.  The files are written by the
+bit flipped anywhere — magic line, JSON header or pickle payload — was
+written in another container format, or carries a magic or header line
+past the reader's cap must raise a typed error (``ContainerError`` or
+``PlanError``), never an arbitrary unpickling exception, and must never
+load silently.  The files are written by the
 real writers (`save_plan`, `write_shard_result`); flip positions and
 truncation lengths are seeded.
 """
 
 import random
+import time
 
 import pytest
 
 from repro.distributed import (
-    ShardSpec,
+    read_shard_header,
     read_shard_result,
     run_shard,
     write_shard_result,
 )
 from repro.drivers import assemble_c_program
+from repro.engine.state import CampaignRequest
 from repro.hw import standard_pc
-from repro.kernel.checkpoint import PlanError, load_plan, record_plan, save_plan
+from repro.kernel.checkpoint import (
+    PlanError,
+    load_plan,
+    read_plan_header,
+    record_plan,
+    save_plan,
+)
 from repro.kernel.kernel import DEFAULT_STEP_BUDGET
 from repro.minic.program import compile_program
-from repro.serialize import CONTAINER_FORMAT, ContainerError
+from repro.serialize import (
+    CONTAINER_FORMAT,
+    MAX_PREAMBLE_LINE,
+    ContainerError,
+)
 
 TYPED_ERRORS = (ContainerError, PlanError)
 
@@ -46,10 +59,11 @@ def containers(tmp_path_factory):
     plan_path = root / "plan.ckpt"
     save_plan(plan, plan_path, files[0].text, files[0].name)
     shard = run_shard(
-        ShardSpec(
-            driver="c", fraction=0.005, seed=3, shard_index=0, shard_count=2,
-            boot_checkpoint=False,
-        )
+        CampaignRequest(
+            driver="c", fraction=0.005, seed=3, boot_checkpoint=False
+        ),
+        0,
+        2,
     )
     shard_path = root / "s.shard"
     write_shard_result(shard, shard_path)
@@ -127,3 +141,34 @@ def test_other_container_format_is_refused(tmp_path, containers, kind, fmt):
     path.write_bytes(b" ".join(fields) + b"\n" + rest)
     with pytest.raises(ContainerError, match=f"unsupported container format {fmt}"):
         loader(path)
+
+
+@pytest.mark.parametrize("section", ["magic", "header"])
+@pytest.mark.parametrize("kind", ["plan", "shard"])
+def test_oversized_preamble_line_is_refused(
+    tmp_path, containers, kind, section
+):
+    """A magic or header line that runs past the cap is refused unread."""
+    data, loader = containers[kind]
+    magic, header, payload = data.split(b"\n", 2)
+    padding = b" " * (MAX_PREAMBLE_LINE + 1)
+    if section == "magic":
+        magic += padding
+    else:
+        header += padding
+    path = tmp_path / "oversized.bin"
+    path.write_bytes(b"\n".join((magic, header, payload)))
+    header_reader = read_plan_header if kind == "plan" else read_shard_header
+    for reader in (header_reader, loader):
+        with pytest.raises(ContainerError, match="longer than"):
+            reader(path)
+
+
+def test_sparse_gigabyte_without_newline_is_refused_quickly(tmp_path):
+    path = tmp_path / "huge.bin"
+    with open(path, "wb") as handle:
+        handle.truncate(1 << 30)
+    start = time.perf_counter()
+    with pytest.raises(ContainerError):
+        read_shard_header(path)
+    assert time.perf_counter() - start < 1.0

@@ -1,35 +1,42 @@
 """Sharded campaigns: determinism, portable plans, merge validation.
 
-The distributed subsystem's contract is absolute: any ``(shard_count,
-merge ordering)`` reassembles the serial ``CampaignResult`` field for
-field — outcomes, details, order, summed checkpoint stats — and a plan
+The distributed subsystem's contract is absolute: for any campaign
+request — driver, scenario, fault or Devil-spec — any ``(shard_count,
+merge ordering)`` reassembles the result ``run_request`` returns field
+for field (rows, details, order, summed checkpoint stats), and a plan
 or shard file round-trips losslessly (plans byte-identically).  These
-tests pin that contract in-process; the subprocess protocol (CLI,
-fresh interpreters, crash resume) is exercised by the CLI smoke test
-here and by ``examples/distributed_campaign.py`` in CI.
+tests pin that contract in-process; the CLI round trip in fresh
+interpreters closes the file, and ``examples/distributed_campaign.py``
+runs in CI.
 """
 
 import random
 import subprocess
 import sys
 import zlib
+from dataclasses import replace
 
 import pytest
 
 from repro.distributed import (
     ShardMergeError,
-    ShardSpec,
     merge_shard_files,
     merge_shard_results,
     missing_shard_indices,
-    plan_shards,
     read_shard_header,
     read_shard_result,
     run_shard,
     shard_indices,
     write_shard_result,
 )
-from repro.distributed.local import record_campaign_plan
+from repro.distributed.shards import SHARD_KIND
+from repro.engine.state import (
+    CampaignRequest,
+    FaultRequest,
+    ScenarioRequest,
+    SpecRequest,
+)
+from repro.experiments import table3, table4
 from repro.hw.machine import standard_pc
 from repro.kernel.checkpoint import (
     PlanError,
@@ -41,18 +48,84 @@ from repro.kernel.checkpoint import (
 from repro.kernel.kernel import DEFAULT_STEP_BUDGET
 from repro.minic.interp import Interpreter
 from repro.minic.program import compile_program
-from repro.mutation.runner import prepare_campaign, run_driver_campaign
-from repro.serialize import ContainerError, canonical_dumps, read_header
+from repro.mutation import runner
+from repro.mutation.runner import (
+    prepare_campaign,
+    run_driver_campaign,
+    run_request,
+)
+from repro.serialize import (
+    ContainerError,
+    canonical_dumps,
+    read_header,
+    write_container,
+)
 
 from conftest import ALL_BACKENDS
 
 FRACTION = 0.02
 SEED = 4136
 
+#: One small request per campaign kind, checkpoint knobs pinned so the
+#: environment-override CI jobs compare like with like.
+REQUESTS = {
+    "driver-c": CampaignRequest(
+        driver="c", fraction=0.01, seed=SEED, boot_checkpoint=True,
+        granularity="subcall",
+    ),
+    "scenario": ScenarioRequest(
+        scenario_id="polling-000", fraction=0.1, seed=7,
+        boot_checkpoint=True, granularity="subcall",
+    ),
+    "fault": FaultRequest(
+        driver="c", seed=20010, per_dimension=2, injection="checkpoint",
+        granularity="subcall",
+    ),
+    "spec": SpecRequest(
+        spec_name="logitech_busmouse", fraction=0.1, seed=SEED
+    ),
+}
+
+
+def _record_plan(tmp_path, request, name="plan.ckpt") -> str:
+    """Record and export ``request``'s plan, as ``record-plan`` does."""
+    target = request.warm_spec().target()
+    target.warm()
+    return target.export_plan(str(tmp_path / name))
+
+
+def _shards(request, shard_count, plan_path=None):
+    return [
+        run_shard(request, index, shard_count, plan_path=plan_path)
+        for index in range(shard_count)
+    ]
+
+
+def _orderings(shard_count):
+    shuffled = list(range(shard_count))
+    random.Random(shard_count).shuffle(shuffled)
+    return [
+        list(range(shard_count)),
+        list(range(shard_count))[::-1],
+        shuffled,
+    ]
+
+
+def _merged(shards, order):
+    return merge_shard_results([shards[i] for i in order])
+
+
+def _assert_shards_merge_to(request, serial):
+    """Shard counts 1–3, each merged in several orders, equal ``serial``."""
+    for shard_count in (1, 2, 3):
+        shards = _shards(request, shard_count)
+        for order in _orderings(shard_count):
+            assert _merged(shards, order) == serial
+
 
 @pytest.fixture(scope="module")
 def c_setup():
-    return prepare_campaign("c", fraction=FRACTION, seed=SEED)
+    return prepare_campaign("c")
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +135,7 @@ def serial_checkpointed():
     )
 
 
-# -- shard planning -----------------------------------------------------------
+# -- shard coordinates --------------------------------------------------------
 
 
 @pytest.mark.parametrize("total", [0, 1, 7, 100])
@@ -85,15 +158,14 @@ def test_shard_indices_validate_coordinates():
         shard_indices(10, 0, 0)
 
 
-def test_plan_shards_expands_one_spec_per_shard():
-    specs = plan_shards(3, driver="c", fraction=0.5, seed=7)
-    assert [spec.shard_index for spec in specs] == [0, 1, 2]
-    assert all(spec.shard_count == 3 for spec in specs)
-    assert all(spec.fraction == 0.5 and spec.seed == 7 for spec in specs)
-    with pytest.raises(ValueError):
-        plan_shards(2, shard_index=1)
-    with pytest.raises(ValueError):
-        ShardSpec(driver="rust").validate()
+def test_run_shard_checks_coordinates_before_set_up(monkeypatch):
+    def enumerate_mutants(*args, **kwargs):
+        raise AssertionError("enumerated before the coordinates were checked")
+
+    monkeypatch.setattr(runner, "enumerate_c_mutants", enumerate_mutants)
+    for shard_index, shard_count in ((2, 2), (-1, 2), (0, 0)):
+        with pytest.raises(ValueError, match="shard_"):
+            run_shard(REQUESTS["driver-c"], shard_index, shard_count)
 
 
 # -- portable checkpoint plans ------------------------------------------------
@@ -154,49 +226,64 @@ def test_plan_fingerprint_mismatches_raise(tmp_path, c_setup):
 
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
-def test_campaign_from_plan_file_equals_in_process_plan(
-    tmp_path, backend
-):
-    """Loaded plans drive campaigns bit-identically on every backend."""
-    plan_path = tmp_path / "plan.ckpt"
-    record_campaign_plan(plan_path, driver="c")
-    from_file = run_driver_campaign(
-        "c",
-        fraction=0.01,
-        seed=SEED,
-        backend=backend,
-        checkpoint_plan=str(plan_path),
+def test_campaign_from_plan_file_equals_in_process_plan(tmp_path, backend):
+    """Loaded plans drive campaigns bit-identically on every backend; the
+    plan file alone turns checkpointing on."""
+    request = CampaignRequest(
+        driver="c", fraction=0.01, seed=SEED, backend=backend
     )
-    in_process = run_driver_campaign(
-        "c", fraction=0.01, seed=SEED, backend=backend, boot_checkpoint=True
+    plan_path = _record_plan(
+        tmp_path, replace(request, boot_checkpoint=True)
     )
+    from_file = merge_shard_results([run_shard(request, 0, 1, plan_path)])
+    in_process = run_request(replace(request, boot_checkpoint=True))
     assert from_file == in_process
+    assert from_file.checkpoint_stats is not None
+
+
+def test_scenario_shard_from_exported_plan_equals_in_process(tmp_path):
+    request = REQUESTS["scenario"]
+    plan_path = _record_plan(tmp_path, request)
+    from_file = _shards(request, 2, plan_path)
+    in_process = _shards(request, 2)
+    assert [shard.result for shard in from_file] == [
+        shard.result for shard in in_process
+    ]
+    assert merge_shard_results(from_file[::-1]) == run_request(request)
+
+
+@pytest.mark.parametrize("kind", ["fault", "spec"])
+def test_plan_file_for_a_planless_kind_raises(kind):
+    with pytest.raises(ValueError, match="no portable checkpoint plan"):
+        run_shard(REQUESTS[kind], 0, 1, plan_path="plan.ckpt")
+
+
+def test_plan_file_with_checkpointing_off_raises():
+    request = replace(REQUESTS["driver-c"], boot_checkpoint=False)
+    with pytest.raises(ValueError, match="boot_checkpoint=False"):
+        run_shard(request, 0, 1, plan_path="plan.ckpt")
 
 
 # -- shard determinism --------------------------------------------------------
 
 
-def _merged(shards, order):
-    return merge_shard_results([shards[i] for i in order])
+@pytest.mark.parametrize("kind", sorted(REQUESTS))
+def test_every_kind_merges_to_run_request(kind):
+    """Merged shards equal the serial result, whole (Table 4's driver is
+    ``test_cdevil_shards_merge_to_serial``)."""
+    request = REQUESTS[kind]
+    _assert_shards_merge_to(request, run_request(request))
 
 
-@pytest.mark.parametrize("shard_count", [2, 3])
+@pytest.mark.parametrize("shard_count", [1, 2, 3])
 def test_any_shard_count_and_ordering_merges_to_serial(
     tmp_path, serial_checkpointed, shard_count
 ):
-    plan_path = tmp_path / "plan.ckpt"
-    record_campaign_plan(plan_path, driver="c")
-    shards = [
-        run_shard(spec, plan_path=str(plan_path))
-        for spec in plan_shards(
-            shard_count, driver="c", fraction=FRACTION, seed=SEED,
-            boot_checkpoint=True,
-        )
-    ]
-    orderings = [list(range(shard_count)), list(range(shard_count))[::-1]]
-    shuffled = list(range(shard_count))
-    random.Random(1).shuffle(shuffled)
-    orderings.append(shuffled)
+    request = CampaignRequest(
+        driver="c", fraction=FRACTION, seed=SEED, boot_checkpoint=True
+    )
+    shards = _shards(request, shard_count, _record_plan(tmp_path, request))
+    orderings = _orderings(shard_count)
     for order in orderings:
         merged = _merged(shards, order)
         assert merged == serial_checkpointed
@@ -221,31 +308,81 @@ def test_cdevil_shards_merge_to_serial():
     serial = run_driver_campaign(
         "cdevil", fraction=FRACTION, seed=SEED, boot_checkpoint=False
     )
-    shards = [
-        run_shard(spec)
-        for spec in plan_shards(
-            2, driver="cdevil", fraction=FRACTION, seed=SEED,
-            boot_checkpoint=False,
+    request = CampaignRequest(
+        driver="cdevil", fraction=FRACTION, seed=SEED, boot_checkpoint=False
+    )
+    _assert_shards_merge_to(request, serial)
+
+
+def test_run_shard_pins_boot_checkpoint_against_env(monkeypatch):
+    """An explicit boot_checkpoint=False beats REPRO_BOOT_CHECKPOINT, as
+    every shard host must honour the campaign's choice."""
+    from repro.kernel.checkpoint import CHECKPOINT_ENV
+
+    monkeypatch.setenv(CHECKPOINT_ENV, "1")
+    request = CampaignRequest(
+        driver="c", fraction=0.005, seed=3, boot_checkpoint=False
+    )
+    merged = merge_shard_results(_shards(request, 2))
+    assert merged.checkpoint_stats is None
+    assert merged == run_driver_campaign(
+        "c", fraction=0.005, seed=3, boot_checkpoint=False
+    )
+
+
+def test_run_shard_honours_env_granularity_pin(tmp_path, monkeypatch):
+    """An env-pinned granularity refuses a mismatching plan, like serial."""
+    from repro.kernel.checkpoint import GRANULARITY_ENV
+
+    request = CampaignRequest(
+        driver="c", fraction=0.005, seed=3, boot_checkpoint=True,
+        granularity="subcall",
+    )
+    plan_path = _record_plan(tmp_path, request)
+    monkeypatch.setenv(GRANULARITY_ENV, "call")
+    with pytest.raises(ValueError, match="re-record the plan"):
+        run_shard(
+            replace(request, granularity=None), 0, 2, plan_path=plan_path
         )
-    ]
-    assert _merged(shards, [1, 0]) == serial
 
 
 # -- shard files --------------------------------------------------------------
 
 
 def test_shard_file_roundtrip(tmp_path):
-    spec = ShardSpec(
-        driver="c", fraction=0.005, seed=3, shard_index=0, shard_count=2,
-        boot_checkpoint=False,
+    request = CampaignRequest(
+        driver="c", fraction=0.005, seed=3, boot_checkpoint=False
     )
-    shard = run_shard(spec)
+    shard = run_shard(request, 0, 2)
     path = tmp_path / "s.shard"
     header = write_shard_result(shard, path)
     assert read_shard_header(path) == header
     assert header["shard_index"] == 0
-    assert header["evaluated"] == len(shard.results)
+    assert header["evaluated"] == len(shard.result.results)
     assert read_shard_result(path) == shard
+
+
+def test_format_1_shard_file_is_refused(tmp_path, two_shards):
+    path = tmp_path / "old.shard"
+    header = write_shard_result(two_shards[0], path)
+    write_container(path, SHARD_KIND, {**header, "shard_format": 1}, {})
+    for reader in (read_shard_header, read_shard_result):
+        with pytest.raises(ShardMergeError, match="format 1 is not supported"):
+            reader(path)
+
+
+def test_table3_renders_merged_shard_files(tmp_path, two_shards, capsys):
+    paths = []
+    for shard in two_shards:
+        path = tmp_path / f"{shard.shard_index}.shard"
+        write_shard_result(shard, path)
+        paths.append(str(path))
+    assert table3.main(["--from-shards", *paths[::-1]]) == 0
+    rendered = capsys.readouterr().out
+    assert rendered == table3.render(merge_shard_results(two_shards)) + "\n"
+    # Table 4 refuses a C-driver campaign rather than mislabel it.
+    with pytest.raises(SystemExit):
+        table4.main(["--from-shards", *paths])
 
 
 # -- merge validation ---------------------------------------------------------
@@ -253,13 +390,19 @@ def test_shard_file_roundtrip(tmp_path):
 
 @pytest.fixture(scope="module")
 def two_shards():
-    return [
-        run_shard(spec)
-        for spec in plan_shards(
-            2, driver="c", fraction=FRACTION, seed=SEED,
-            boot_checkpoint=False,
-        )
-    ]
+    request = CampaignRequest(
+        driver="c", fraction=FRACTION, seed=SEED, boot_checkpoint=False
+    )
+    return _shards(request, 2)
+
+
+@pytest.fixture(scope="module")
+def other_seed_shard():
+    """Shard 1 of the ``two_shards`` campaign at another seed."""
+    request = CampaignRequest(
+        driver="c", fraction=FRACTION, seed=SEED + 1, boot_checkpoint=False
+    )
+    return run_shard(request, 1, 2)
 
 
 def test_missing_shard_raises(two_shards):
@@ -274,25 +417,48 @@ def test_duplicate_shard_raises(two_shards):
         merge_shard_results([two_shards[0], two_shards[0], two_shards[1]])
 
 
-def test_mixed_campaigns_refuse_to_merge(two_shards):
-    other = run_shard(
-        ShardSpec(
-            driver="c", fraction=FRACTION, seed=SEED + 1,
-            shard_index=1, shard_count=2, boot_checkpoint=False,
-        )
-    )
+def test_mixed_campaigns_refuse_to_merge(two_shards, other_seed_shard):
     with pytest.raises(ShardMergeError, match="seed"):
-        merge_shard_results([two_shards[0], other])
+        merge_shard_results([two_shards[0], other_seed_shard])
+    spec_shard = run_shard(REQUESTS["spec"], 1, 2)
+    with pytest.raises(ShardMergeError, match="kind"):
+        merge_shard_results([two_shards[0], spec_shard])
+
+
+def test_shards_from_different_plans_refuse_to_merge(tmp_path, monkeypatch):
+    from repro.kernel.checkpoint import GRANULARITY_ENV
+
+    # Unpinned, each shard adopts its own plan's granularity.
+    monkeypatch.delenv(GRANULARITY_ENV, raising=False)
+    request = CampaignRequest(
+        driver="c", fraction=0.005, seed=3, boot_checkpoint=True
+    )
+    first = _record_plan(tmp_path, replace(request, granularity="subcall"))
+    second = _record_plan(
+        tmp_path, replace(request, granularity="call"), "call.ckpt"
+    )
+    shards = [
+        run_shard(request, 0, 2, plan_path=first),
+        run_shard(request, 1, 2, plan_path=second),
+    ]
+    with pytest.raises(ShardMergeError, match="plan_sha256"):
+        merge_shard_results(shards)
 
 
 def test_tampered_indices_refuse_to_merge(two_shards):
-    from dataclasses import replace
-
     bad = replace(
         two_shards[1], indices=tuple(list(two_shards[1].indices)[::-1])
     )
     with pytest.raises(ShardMergeError, match="expected stride"):
         merge_shard_results([two_shards[0], bad])
+    short = replace(
+        two_shards[1],
+        result=replace(
+            two_shards[1].result, results=two_shards[1].result.results[1:]
+        ),
+    )
+    with pytest.raises(ShardMergeError, match="holds"):
+        merge_shard_results([two_shards[0], short])
 
 
 def test_missing_shard_indices_from_files(tmp_path, two_shards):
@@ -302,6 +468,20 @@ def test_missing_shard_indices_from_files(tmp_path, two_shards):
     assert (missing, count) == ([0], 2)
     with pytest.raises(ShardMergeError, match="no shard files"):
         missing_shard_indices([])
+
+
+def test_missing_shard_indices_refuses_mixed_campaigns(
+    tmp_path, two_shards, other_seed_shard
+):
+    """A directory mixing two campaigns is not "complete": the status scan
+    refuses it exactly as the merge would."""
+    paths = [tmp_path / "shard0.shard", tmp_path / "shard1.shard"]
+    write_shard_result(two_shards[0], paths[0])
+    write_shard_result(other_seed_shard, paths[1])
+    with pytest.raises(ShardMergeError, match="differing fields: seed"):
+        missing_shard_indices(paths)
+    with pytest.raises(ShardMergeError, match="differing fields: seed"):
+        merge_shard_files(paths)
 
 
 # -- cross-process determinism ------------------------------------------------
@@ -333,68 +513,17 @@ def test_canonical_dumps_sorts_sets():
     assert a == b
 
 
-def test_resume_checkpointed_shards_without_plan_file(tmp_path):
-    """Shards that recorded plans in-process resume the same way."""
-    from repro.distributed import resume_missing
-    from repro.distributed.local import shard_file_name
-
-    specs = plan_shards(
-        2, driver="c", fraction=0.005, seed=3, boot_checkpoint=True
-    )
-    shard = run_shard(specs[0])  # no plan_path: plan recorded in-process
-    write_shard_result(shard, tmp_path / shard_file_name(0, 2))
-    merged = resume_missing(tmp_path)
-    serial = run_driver_campaign(
-        "c", fraction=0.005, seed=3, boot_checkpoint=True
-    )
-    assert merged == serial
-
-
-def test_resume_refuses_swapped_plan_file(tmp_path):
-    """A re-recorded plan.ckpt fails fast, before any shard re-runs."""
-    from repro.distributed import resume_missing
-    from repro.distributed.local import shard_file_name
-
-    plan_path = tmp_path / "plan.ckpt"
-    record_campaign_plan(plan_path, driver="c", granularity="subcall")
-    spec = ShardSpec(
-        driver="c", fraction=0.005, seed=3, shard_index=0, shard_count=2,
-        boot_checkpoint=True,
-    )
-    shard = run_shard(spec, plan_path=str(plan_path))
-    write_shard_result(shard, tmp_path / shard_file_name(0, 2))
-    record_campaign_plan(plan_path, driver="c", granularity="call")
-    with pytest.raises(ShardMergeError, match="digest mismatch"):
-        resume_missing(tmp_path)
-
-
 def test_container_writes_are_atomic(tmp_path):
     """No staging residue; presence of a shard file means completion."""
     import os
 
-    spec = ShardSpec(
-        driver="c", fraction=0.005, seed=3, shard_index=0, shard_count=2,
-        boot_checkpoint=False,
+    request = CampaignRequest(
+        driver="c", fraction=0.005, seed=3, boot_checkpoint=False
     )
     path = tmp_path / "s.shard"
-    write_shard_result(run_shard(spec), path)
+    write_shard_result(run_shard(request, 0, 2), path)
     assert os.path.exists(path)
     assert list(tmp_path.glob("*.tmp")) == []
-
-
-def test_run_shard_honours_env_granularity_pin(tmp_path, monkeypatch):
-    """An env-pinned granularity refuses a mismatching plan, like serial."""
-    from repro.kernel.checkpoint import GRANULARITY_ENV
-
-    plan_path = tmp_path / "plan.ckpt"
-    record_campaign_plan(plan_path, driver="c", granularity="subcall")
-    monkeypatch.setenv(GRANULARITY_ENV, "call")
-    spec = ShardSpec(
-        driver="c", fraction=0.005, seed=3, shard_index=0, shard_count=2,
-        boot_checkpoint=True,
-    )
-    with pytest.raises(ValueError, match="re-record the plan"):
-        run_shard(spec, plan_path=str(plan_path))
 
 
 def test_container_with_garbage_format_raises_container_error(tmp_path):
@@ -402,52 +531,6 @@ def test_container_with_garbage_format_raises_container_error(tmp_path):
     path.write_bytes(b"REPRO-ARTIFACT xx checkpoint-plan\n{}\n")
     with pytest.raises(ContainerError):
         read_header(path)
-
-
-def test_sharded_campaign_pins_boot_checkpoint_against_env(
-    tmp_path, monkeypatch
-):
-    """An explicit boot_checkpoint=False must reach the shard children.
-
-    The children are fresh processes; if the parent's choice were not on
-    the command line they would fall back to REPRO_BOOT_CHECKPOINT and
-    silently flip checkpointing on, breaking merge == serial.
-    """
-    from repro.distributed import sharded_campaign
-    from repro.kernel.checkpoint import CHECKPOINT_ENV
-
-    monkeypatch.setenv(CHECKPOINT_ENV, "1")
-    merged = sharded_campaign(
-        "c", fraction=0.005, seed=3, shard_count=2, out_dir=tmp_path,
-        boot_checkpoint=False,
-    )
-    serial = run_driver_campaign(
-        "c", fraction=0.005, seed=3, boot_checkpoint=False
-    )
-    assert merged.checkpoint_stats is None
-    assert merged == serial
-
-
-def test_resume_ignores_stray_plan_for_uncheckpointed_shards(tmp_path):
-    """A plan.ckpt next to non-checkpointed shards must not flip config."""
-    import os
-
-    from repro.distributed import resume_missing
-    from repro.distributed.local import shard_file_name
-
-    specs = plan_shards(
-        2, driver="c", fraction=0.005, seed=3, boot_checkpoint=False
-    )
-    shard = run_shard(specs[1])
-    write_shard_result(shard, tmp_path / shard_file_name(1, 2))
-    record_campaign_plan(tmp_path / "plan.ckpt", driver="c")
-
-    merged = resume_missing(tmp_path)
-    serial = run_driver_campaign(
-        "c", fraction=0.005, seed=3, boot_checkpoint=False
-    )
-    assert merged == serial
-    assert os.path.exists(tmp_path / shard_file_name(0, 2))
 
 
 # -- the CLI protocol (fresh interpreters) ------------------------------------

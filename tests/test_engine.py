@@ -187,10 +187,6 @@ def test_run_driver_campaign_engine_seam(serial_checkpointed):
             engine=engine,
         )
     assert campaign == serial_checkpointed
-    with pytest.raises(ValueError, match="shard"):
-        run_driver_campaign("c", engine=object(), shard=(0, 2))
-    with pytest.raises(ValueError, match="checkpoint_plan"):
-        run_driver_campaign("c", engine=object(), checkpoint_plan="x.ckpt")
 
 
 def test_warm_engine_serves_repeat_and_new_campaigns(serial_checkpointed):

@@ -129,7 +129,7 @@ def test_every_corpus_member_is_a_usable_campaign_target(corpus):
     """The acceptance gate guarantees a clean baseline; enumeration over
     the whole (untagged) source must find real mutation sites."""
     for scenario in corpus:
-        setup = prepare_scenario_campaign(scenario, fraction=0.01)
+        setup = prepare_scenario_campaign(scenario)
         assert setup.enumerated > 0
         assert setup.clean_steps > 0
 
