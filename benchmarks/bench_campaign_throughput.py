@@ -1,31 +1,28 @@
 """Campaign throughput: mutants/second through the whole harness.
 
-This is the benchmark the perf work is judged by.  It runs the same
-fixed-seed sampled C-driver campaign under several configurations:
+The legacy smoke gauge (the repository benchmark is ``perfbench/``).
+It runs the same fixed-seed sampled C-driver campaign under several
+configurations:
 
-* **legacy configuration** — the seed pipeline: tree-walking interpreter,
-  full per-mutant ``compile_program``, serial execution;
-* **fast configuration** — closure-compiled backend, incremental
-  compilation cache, and a worker pool sized to the machine;
-* **source configuration** — the source-emitting codegen backend
-  (``backend="source"``, `repro.minic.codegen`) with the incremental
-  cache, measured single-core so the ``speedup_source_vs_closure`` ratio
-  isolates the backend itself;
-* **checkpoint configuration** — the source configuration plus
-  cross-mutant boot checkpointing (``boot_checkpoint=True``,
-  `repro.kernel.checkpoint`) at sub-call granularity: one instrumented
-  clean boot per campaign snapshots every driver-call boundary *and*
-  the loop-free statement boundaries inside each call, and every mutant
-  resumes from the deepest checkpoint provably before its first
-  divergent step — including mutants whose lines first execute during
-  ``ide_init`` (driver call 0), which call granularity had to cold-boot
-  (cold boots reuse a machine snapshot, mutated declarations run on the
-  ``hybrid`` backend).  The row reports ``checkpoint_resumed`` /
-  ``checkpoint_cold`` decisions, the ``checkpoint_resumed_subcall``
-  subset resumed from intra-call snapshots, the
+* **legacy configuration** — the reference pipeline: tree-walking
+  interpreter, full per-mutant ``compile_program``, cold boots, serial
+  execution;
+* **checkpoint configuration** — the default campaign configuration,
+  serial: the ``source`` backend (`repro.minic.codegen`), the
+  incremental compilation cache and cross-mutant boot checkpointing
+  (`repro.kernel.checkpoint`).  One instrumented clean boot per
+  campaign snapshots every driver-call boundary *and* the loop-free
+  statement boundaries inside each call, and every mutant resumes from
+  the deepest checkpoint provably before its first divergent step
+  (cold boots reuse a machine snapshot).  The row reports
+  ``checkpoint_resumed`` / ``checkpoint_cold`` decisions, the
+  ``checkpoint_resumed_subcall`` subset resumed from intra-call
+  snapshots, the
   ``checkpoint_resumed_fraction`` of boots resumed, and
   ``checkpoint_prefix_steps_skipped``, the clean-prefix steps the
   campaign never re-executed;
+* **fast configuration** — the checkpoint configuration on a worker
+  pool sized to the machine (``--workers``; serial on one core);
 * **corpus configuration** (``--corpus N``) — a scale-``N`` generated
   scenario corpus (`repro.scenarios`) run end to end as mutation
   campaign targets: deterministic generation (timed separately as
@@ -44,14 +41,6 @@ fixed-seed sampled C-driver campaign under several configurations:
   against a resident engine, which is the number the serial rows should
   be compared to since they pay their setup inside the timed region on
   every run.
-
-A separate **budget-bound** measurement re-boots the campaign's
-infinite-loop mutants (the ones that burn the whole step budget and
-dominate wall time) on the closure and source backends:
-``speedup_source_vs_closure_budget_bound`` is the source backend's own
-execution speedup, free of the per-mutant compile and device-emulation
-costs every configuration shares.  The source boots fast-forward their
-settled polling loops to the step budget, so it measures that too.
 
 Outcome classifications must be identical across all of them — a speedup
 is only meaningful if the fast path computes the same Table 3/4.
@@ -91,54 +80,12 @@ import time
 
 from repro.experiments.trajectory import (
     append_point,
-    load_report,
     load_trajectory,
     seed_anchor_throughput,
 )
 from repro.kernel.outcomes import BootOutcome
 from repro.mutation.runner import run_driver_campaign
 
-
-def time_budget_bound_boots(campaign, driver: str = "c") -> dict:
-    """Re-boot the campaign's budget-bound mutants on each backend.
-
-    Budget-bound (infinite-loop) mutants burn the full step budget and
-    dominate campaign wall time; their boots isolate what the execution
-    backend itself controls, free of the shared per-mutant compile and
-    classification costs.  Backend caches are cleared per run so each
-    timing includes its backend's own per-program lowering/emission.
-    """
-    from repro.drivers import assemble_c_program, assemble_cdevil_program
-    from repro.hw.machine import standard_pc
-    from repro.kernel.kernel import boot
-    from repro.minic.incremental import CampaignCompiler
-
-    files, registry = (
-        assemble_c_program() if driver == "c" else assemble_cdevil_program()
-    )
-    source = files[0].text
-    compiler = CampaignCompiler(files[0].name, source, registry)
-    programs = [
-        compiler.compile_variant(result.mutant.apply(source))
-        for result in campaign.results
-        if result.outcome is BootOutcome.INFINITE_LOOP
-    ]
-    timings = {}
-    for backend in ("closure", "source"):
-        for program in programs:
-            for attr in ("_closure_functions", "_source_functions"):
-                if hasattr(program, attr):
-                    delattr(program, attr)
-        start = time.perf_counter()
-        for program in programs:
-            boot(
-                program,
-                standard_pc(with_busmouse=False),
-                step_budget=campaign.step_budget,
-                backend=backend,
-            )
-        timings[backend] = time.perf_counter() - start
-    return {"count": len(programs), **timings}
 
 DEFAULT_FRACTION = 0.05
 DEFAULT_SEED = 4136
@@ -188,56 +135,24 @@ def run_configurations(
     )
     legacy_seconds = time.perf_counter() - start
 
-    # Backends and checkpointing are pinned explicitly so environment
-    # overrides (REPRO_MINIC_BACKEND, REPRO_BOOT_CHECKPOINT) cannot
-    # mislabel the configurations being compared.
     start = time.perf_counter()
-    fast_serial = run_driver_campaign(
-        driver, fraction=fraction, seed=seed, backend="closure",
-        boot_checkpoint=False,
-    )
-    fast_serial_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    source_serial = run_driver_campaign(
-        driver, fraction=fraction, seed=seed, backend="source",
-        boot_checkpoint=False,
-    )
-    source_serial_seconds = time.perf_counter() - start
-    assert _outcomes(source_serial) == _outcomes(fast_serial), (
-        "source backend changed campaign outcomes"
-    )
-
-    start = time.perf_counter()
-    checkpoint_serial = run_driver_campaign(
-        driver,
-        fraction=fraction,
-        seed=seed,
-        backend="source",
-        boot_checkpoint=True,
-        checkpoint_granularity="subcall",
-    )
+    checkpoint_serial = run_driver_campaign(driver, fraction=fraction, seed=seed)
     checkpoint_serial_seconds = time.perf_counter() - start
-    assert _outcomes(checkpoint_serial) == _outcomes(source_serial), (
-        "checkpointed campaign changed outcomes"
+    assert _outcomes(checkpoint_serial) == _outcomes(legacy), (
+        "the default configuration changed campaign outcomes"
     )
     checkpoint_stats = checkpoint_serial.checkpoint_stats or {}
 
-    fast_seconds = fast_serial_seconds
+    fast_seconds = checkpoint_serial_seconds
     if workers > 1:
         start = time.perf_counter()
         fast_parallel = run_driver_campaign(
-            driver, fraction=fraction, seed=seed, workers=workers,
-            backend="closure", boot_checkpoint=False,
+            driver, fraction=fraction, seed=seed, workers=workers
         )
         fast_seconds = time.perf_counter() - start
-        assert _outcomes(fast_parallel) == _outcomes(fast_serial), (
+        assert _outcomes(fast_parallel) == _outcomes(checkpoint_serial), (
             "parallel campaign diverged from serial"
         )
-
-    assert _outcomes(legacy) == _outcomes(fast_serial), (
-        "fast configuration changed campaign outcomes"
-    )
 
     engine_warmup_seconds = None
     engine_seconds = None
@@ -245,14 +160,7 @@ def run_configurations(
     if engine:
         from repro.engine import CampaignRequest, Engine, SupervisionPolicy
 
-        request = CampaignRequest(
-            driver=driver,
-            fraction=fraction,
-            seed=seed,
-            backend="source",
-            boot_checkpoint=True,
-            granularity="subcall",
-        )
+        request = CampaignRequest(driver=driver, fraction=fraction, seed=seed)
         # Warm-up = pool fork + the first submission: forked pages
         # unshare (copy-on-write) as each worker first touches the
         # inherited state, a one-time cost belonging to warm-up, not to
@@ -304,8 +212,6 @@ def run_configurations(
                 == checkpoint_serial.checkpoint_stats
             ), "engine campaign's summed checkpoint stats diverged"
 
-    budget_bound = time_budget_bound_boots(fast_serial, driver)
-
     tested = legacy.tested
     return {
         "engine_workers": engine or None,
@@ -346,13 +252,10 @@ def run_configurations(
         "tested": tested,
         "workers": workers,
         "legacy_seconds": round(legacy_seconds, 3),
-        "fast_serial_seconds": round(fast_serial_seconds, 3),
-        "source_serial_seconds": round(source_serial_seconds, 3),
         "fast_seconds": round(fast_seconds, 3),
         "checkpoint_serial_seconds": round(checkpoint_serial_seconds, 3),
         "legacy_mutants_per_sec": round(tested / legacy_seconds, 2),
         "fast_mutants_per_sec": round(tested / fast_seconds, 2),
-        "source_mutants_per_sec": round(tested / source_serial_seconds, 2),
         "checkpoint_mutants_per_sec": round(
             tested / checkpoint_serial_seconds, 2
         ),
@@ -364,23 +267,8 @@ def run_configurations(
             "steps_skipped"
         ),
         "clean_steps": checkpoint_serial.clean_steps,
-        "speedup_checkpoint_vs_source": round(
-            source_serial_seconds / checkpoint_serial_seconds, 2
-        ),
-        "speedup_serial": round(legacy_seconds / fast_serial_seconds, 2),
-        "speedup_source_serial": round(legacy_seconds / source_serial_seconds, 2),
-        "speedup_source_vs_closure": round(
-            fast_serial_seconds / source_serial_seconds, 2
-        ),
+        "speedup_serial": round(legacy_seconds / checkpoint_serial_seconds, 2),
         "speedup": round(legacy_seconds / fast_seconds, 2),
-        "budget_bound_mutants": budget_bound["count"],
-        "budget_bound_closure_seconds": round(budget_bound["closure"], 3),
-        "budget_bound_source_seconds": round(budget_bound["source"], 3),
-        "speedup_source_vs_closure_budget_bound": round(
-            budget_bound["closure"] / budget_bound["source"], 2
-        )
-        if budget_bound["source"]
-        else None,
         "outcomes_identical": True,
     }
 
@@ -400,8 +288,8 @@ def run_corpus_configuration(
 ) -> dict:
     """Time a generated-scenario corpus as campaign targets.
 
-    Serial path: one checkpointed source-backend campaign per corpus
-    member, back to back — each pays its own preparation, like the
+    Serial path: one default-configuration campaign per corpus member,
+    back to back — each pays its own preparation, like the
     serial driver rows.  Engine path (``engine_workers`` > 0): the same
     campaigns submitted to a single warm `repro.engine.Engine` holding
     *every* scenario's state resident (warm-up excluded from the timed
@@ -418,12 +306,7 @@ def run_corpus_configuration(
     serial = {}
     for scenario in corpus:
         serial[scenario.scenario_id] = run_scenario_campaign(
-            scenario,
-            fraction=fraction,
-            seed=seed,
-            backend="source",
-            boot_checkpoint=True,
-            checkpoint_granularity="subcall",
+            scenario, fraction=fraction, seed=seed
         )
     serial_seconds = time.perf_counter() - start
     tested = sum(len(c.results) for c in serial.values())
@@ -435,12 +318,7 @@ def run_corpus_configuration(
 
         requests = [
             ScenarioRequest(
-                scenario_id=scenario.scenario_id,
-                fraction=fraction,
-                seed=seed,
-                backend="source",
-                boot_checkpoint=True,
-                granularity="subcall",
+                scenario_id=scenario.scenario_id, fraction=fraction, seed=seed
             )
             for scenario in corpus
         ]
@@ -578,14 +456,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # The previous trajectory point's source row (if any) anchors the
-    # cross-revision speedup claim before the file is overwritten.
-    prior_source = None
-    if args.json_path:
-        prior_source = (load_report(args.json_path) or {}).get(
-            "source_serial_seconds"
-        )
-
     report = run_configurations(
         fraction=args.fraction,
         seed=args.seed,
@@ -601,12 +471,6 @@ def main(argv: list[str] | None = None) -> int:
                 seed=args.seed,
                 engine_workers=args.engine or 2,
             )
-        )
-
-    if prior_source:
-        report["prior_source_serial_seconds"] = prior_source
-        report["speedup_checkpoint_vs_prior_source"] = round(
-            prior_source / report["checkpoint_serial_seconds"], 2
         )
 
     if args.seed_rev:
@@ -670,23 +534,13 @@ def test_campaign_throughput(benchmark, capsys):
     # Floor for a single core; the worker pool multiplies this by the
     # core count on real hardware (the >=5x acceptance configuration).
     assert report["speedup_serial"] > 1.5
-    # Checkpointing must genuinely skip clean-prefix work and at worst
-    # break even on the small smoke sample (the committed fraction=0.05
-    # trajectory point shows the real margin).  Sub-call granularity
-    # must resume the ide_init-covered majority, not just the deep
-    # write-path mutants call granularity could reach.
+    # Checkpointing must genuinely skip clean-prefix work, and sub-call
+    # checkpoints must resume the ide_init-covered majority, not just
+    # the deep write-path mutants call boundaries alone could reach.
     assert report["checkpoint_resumed"] > 0
     assert report["checkpoint_resumed_subcall"] > 0
     assert report["checkpoint_resumed_fraction"] > 0.7
     assert report["checkpoint_prefix_steps_skipped"] > 0
-    assert report["speedup_checkpoint_vs_source"] > 0.9
-    # The source backend must at least keep pace with the closure
-    # backend end-to-end even on the small smoke sample, and clearly
-    # beat it on the budget-bound boots it was built for (the committed
-    # fraction=0.05 trajectory point shows >=2x there).
-    assert report["speedup_source_vs_closure"] > 1.0
-    if report["budget_bound_mutants"]:
-        assert report["speedup_source_vs_closure_budget_bound"] > 1.3
 
 
 def test_corpus_configuration_smoke():

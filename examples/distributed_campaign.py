@@ -69,8 +69,7 @@ def main() -> None:
         header = read_plan_header(plan_path)
         print(
             f"recorded checkpoint plan: {header['checkpoints']} checkpoints, "
-            f"{header['clean_steps']} clean-boot steps, "
-            f"granularity={header['granularity']}"
+            f"{header['clean_steps']} clean-boot steps"
         )
         print("\nthe same campaign across hosts:")
         print("  $ python -m repro.distributed record-plan --driver c "

@@ -32,7 +32,8 @@ from repro.distributed.shards import (
 )
 from repro.engine.__main__ import DRIVERS, MODES, _request, _request_arguments
 from repro.engine.state import CampaignRequest
-from repro.kernel.checkpoint import GRANULARITIES, read_plan_header
+from repro.kernel.checkpoint import read_plan_header
+from repro.minic.compile import BACKEND_NAMES
 
 
 def _render(result) -> str:
@@ -64,10 +65,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     record.add_argument("--driver", choices=DRIVERS, default="c")
     record.add_argument("--mode", choices=MODES, default="debug")
-    record.add_argument("--backend", default=None)
-    record.add_argument(
-        "--granularity", choices=GRANULARITIES, default=None
-    )
+    record.add_argument("--backend", choices=BACKEND_NAMES, default=None)
     record.add_argument("--out", required=True)
 
     shard = commands.add_parser(
@@ -78,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
     shard.add_argument("--shard-count", type=int, required=True)
     shard.add_argument(
         "--plan", default=None,
-        help="portable plan file (implies --boot-checkpoint)",
+        help="portable plan file (refused with --no-boot-checkpoint)",
     )
     shard.add_argument(
         "--out", default=None,
@@ -104,8 +102,6 @@ def main(argv: list[str] | None = None) -> int:
             driver=args.driver,
             mode=args.mode,
             backend=args.backend,
-            boot_checkpoint=True,
-            granularity=args.granularity,
         )
         target = request.warm_spec().target()
         target.warm()

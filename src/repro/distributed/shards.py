@@ -33,8 +33,9 @@ from repro.mutation.runner import ProgressFn, _merge_stats, evaluate_serial
 
 #: Container kind + payload schema revision for shard-result files.
 #: Format 2: any campaign kind, the shard carrying its stride's result.
+#: Format 3: the campaign identity has no checkpoint granularity fields.
 SHARD_KIND = "shard-result"
-SHARD_FORMAT_VERSION = 2
+SHARD_FORMAT_VERSION = 3
 
 #: Header fields that describe one shard file rather than its campaign.
 _SHARD_FIELDS = ("shard_format", "shard_index", "evaluated")
@@ -111,9 +112,9 @@ def run_shard(
     ``plan_path`` names a portable checkpoint plan
     (`repro.kernel.checkpoint.save_plan`, or ``record-plan`` on the
     CLI): the instrumented clean boot then ships to the shard instead of
-    being re-recorded.  It implies boot checkpointing; combined with
-    ``boot_checkpoint=False``, or given for a fault or spec campaign
-    (which have no portable plan), it raises ``ValueError``.
+    being re-recorded.  Combined with ``boot_checkpoint=False``, or
+    given for a fault or spec campaign (which have no portable plan),
+    it raises ``ValueError``.
     ``run_shard(request, 0, 1, plan_path=...)`` is a whole campaign
     from a plan file.
     """

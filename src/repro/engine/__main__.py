@@ -23,7 +23,7 @@ import dataclasses
 import json
 import sys
 
-from repro.kernel.checkpoint import GRANULARITIES
+from repro.minic.compile import BACKEND_NAMES
 from repro.mutation.sampling import DEFAULT_SEED
 from repro.engine.daemon import EngineClient, serve
 from repro.engine.state import CampaignRequest, SpecRequest
@@ -38,7 +38,7 @@ def _request_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=MODES, default="debug")
     parser.add_argument("--fraction", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--backend", default=None)
+    parser.add_argument("--backend", choices=BACKEND_NAMES, default=None)
     parser.add_argument(
         "--no-compile-cache",
         dest="compile_cache",
@@ -48,16 +48,8 @@ def _request_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--boot-checkpoint",
         action=argparse.BooleanOptionalAction,
-        default=None,
-        help="resume mutants from boot checkpoints "
-        "(default: REPRO_BOOT_CHECKPOINT)",
-    )
-    parser.add_argument(
-        "--granularity",
-        choices=GRANULARITIES,
-        default=None,
-        help="checkpoint granularity "
-        "(default: REPRO_CHECKPOINT_GRANULARITY, else subcall)",
+        default=True,
+        help="resume mutants from boot checkpoints (default: on)",
     )
     parser.add_argument("--step-budget", type=int, default=None)
 
@@ -71,7 +63,6 @@ def _request(args) -> CampaignRequest:
         backend=args.backend,
         compile_cache=args.compile_cache,
         boot_checkpoint=args.boot_checkpoint,
-        granularity=args.granularity,
         step_budget=args.step_budget,
     )
 

@@ -19,9 +19,9 @@ split into two parts with very different costs:
   a fault campaign's ``(per_dimension, dimensions)``).
 
 Every request's ``warm_spec(plan_path=None)`` takes the portable plan
-file its target will load (`repro.distributed.run_shard`): for
-source-mutant requests a plan implies checkpointing, and the fault and
-spec targets refuse one.
+file its target will load (`repro.distributed.run_shard`): a
+source-mutant request that turned checkpointing off refuses one, and
+so do the fault and spec targets.
 
 A warm spec builds a campaign target (`repro.mutation.runner.CampaignTarget`)
 — the same object the serial runners loop over — and
@@ -37,8 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.faults.campaign import FaultContext, FaultTarget, injection_from_env
+from repro.faults.campaign import FaultContext, FaultTarget
 from repro.faults.plan import dimensions_from_env
+from repro.kernel.checkpoint import GRANULARITY, check_granularity
+from repro.kernel.kernel import DEFAULT_BACKEND
 from repro.mutation.runner import (
     CampaignTarget,
     DevilTarget,
@@ -60,11 +62,9 @@ class WarmSpec:
     spec_name: str | None = None
     #: Scenario campaigns only (``kind="scenario"``): the corpus id.
     scenario_id: str | None = None
-    backend: str | None = None
+    backend: str = DEFAULT_BACKEND
     compile_cache: bool = True
-    boot_checkpoint: bool = False
-    granularity: str = "subcall"
-    granularity_pinned: bool = False
+    boot_checkpoint: bool = True
     #: Fault campaigns only (``kind="fault"``): ``"checkpoint"`` or ``"cold"``.
     injection: str | None = None
     step_budget: int | None = None
@@ -75,15 +75,13 @@ class WarmSpec:
 
 
 def _mutant_spec(request, plan_path, **identity) -> WarmSpec:
-    boot_checkpoint, granularity, pinned = resolve_checkpoint_options(
-        request.boot_checkpoint, request.granularity, plan_path
-    )
+    check_granularity(request.granularity)
     return WarmSpec(
-        backend=request.backend,
+        backend=request.backend or DEFAULT_BACKEND,
         compile_cache=request.compile_cache,
-        boot_checkpoint=boot_checkpoint,
-        granularity=granularity,
-        granularity_pinned=pinned,
+        boot_checkpoint=resolve_checkpoint_options(
+            request.boot_checkpoint, plan_path
+        ),
         step_budget=request.step_budget,
         **identity,
     )
@@ -93,10 +91,8 @@ def _mutant_spec(request, plan_path, **identity) -> WarmSpec:
 class CampaignRequest:
     """One driver mutation campaign, as the engine accepts it.
 
-    ``boot_checkpoint=None`` and ``granularity=None`` resolve from the
-    environment exactly like ``run_driver_campaign`` — through the same
-    `~repro.mutation.runner.resolve_checkpoint_options` — when the warm
-    spec is taken at submission time.
+    The defaults are ``run_driver_campaign``'s; ``backend=None`` means
+    the default backend, so it shares a warm spec with ``"source"``.
     """
 
     driver: str = "c"
@@ -105,8 +101,8 @@ class CampaignRequest:
     seed: int = DEFAULT_SEED
     backend: str | None = None
     compile_cache: bool = True
-    boot_checkpoint: bool | None = None
-    granularity: str | None = None
+    boot_checkpoint: bool = True
+    granularity: str = GRANULARITY
     step_budget: int | None = None
 
     @property
@@ -147,8 +143,7 @@ class ScenarioRequest:
     The scenario is identified by its stable corpus id
     (``"polling-003"``) — pure data, so the request pickles across the
     daemon socket and every worker rebuilds the identical scenario
-    deterministically.  Checkpoint fields resolve from the environment
-    exactly like :class:`CampaignRequest`.
+    deterministically.  The other fields are :class:`CampaignRequest`'s.
     """
 
     scenario_id: str
@@ -156,8 +151,8 @@ class ScenarioRequest:
     seed: int = DEFAULT_SEED
     backend: str | None = None
     compile_cache: bool = True
-    boot_checkpoint: bool | None = None
-    granularity: str | None = None
+    boot_checkpoint: bool = True
+    granularity: str = GRANULARITY
     step_budget: int | None = None
 
     @property
@@ -177,9 +172,8 @@ class FaultRequest:
     The expensive warm state is the armed instrumented clean boot — the
     checkpoint plan with embedded injector counters plus the access
     profile; the cheap sampling parameters are ``(per_dimension,
-    dimensions)`` with the ``seed``.  ``injection``/``granularity``/
-    ``dimensions`` default from the same environment variables
-    ``run_fault_campaign`` honours.
+    dimensions)`` with the ``seed``.  ``dimensions=None`` reads
+    ``REPRO_FAULT_DIMENSIONS``, as ``run_fault_campaign`` does.
     """
 
     driver: str = "c"
@@ -187,9 +181,9 @@ class FaultRequest:
     seed: int = DEFAULT_SEED
     per_dimension: int = 8
     dimensions: tuple[str, ...] | None = None
-    injection: str | None = None
+    injection: str = "checkpoint"
     backend: str | None = None
-    granularity: str | None = None
+    granularity: str = GRANULARITY
     step_budget: int | None = None
 
     @property
@@ -200,18 +194,13 @@ class FaultRequest:
         return self.per_dimension, tuple(dimensions)
 
     def warm_spec(self, plan_path: str | None = None) -> WarmSpec:
-        # Fault campaigns always record a plan: resolve as checkpointed.
-        _, granularity, _ = resolve_checkpoint_options(True, self.granularity)
-        injection = self.injection
-        if injection is None:
-            injection = injection_from_env()
+        check_granularity(self.granularity)
         return WarmSpec(
             kind="fault",
             driver=self.driver,
             mode=self.mode,
-            backend=self.backend,
-            granularity=granularity,
-            injection=injection,
+            backend=self.backend or DEFAULT_BACKEND,
+            injection=self.injection,
             step_budget=self.step_budget,
         )
 
@@ -222,8 +211,6 @@ def _mutant_target(setup, spec: WarmSpec, plan_path) -> MutantTarget:
         spec.backend,
         spec.compile_cache,
         spec.boot_checkpoint,
-        spec.granularity,
-        spec.granularity_pinned,
         plan_path,
     )
 
@@ -273,7 +260,6 @@ def _fault_target(spec: WarmSpec, plan_path) -> FaultTarget:
             spec.mode,
             backend=spec.backend,
             injection=spec.injection,
-            granularity=spec.granularity,
             step_budget=spec.step_budget,
         )
     )

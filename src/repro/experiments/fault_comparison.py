@@ -37,7 +37,7 @@ def run(
     seed: int = DEFAULT_FAULT_SEED,
     per_dimension: int = 8,
     mode: str = "debug",
-    injection: str | None = None,
+    injection: str = "checkpoint",
     workers: int = 1,
     progress=None,
 ) -> tuple[FaultCampaignResult, FaultCampaignResult]:
@@ -89,10 +89,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--injection",
         choices=INJECTIONS,
-        default=None,
-        help="checkpoint: resume each fault from the deepest recorded "
-        "snapshot before its trigger; cold: pristine boots "
-        "(default: REPRO_FAULT_INJECTION, else checkpoint)",
+        default="checkpoint",
+        help="checkpoint (the default): resume each fault from the "
+        "deepest recorded snapshot before its trigger; cold: pristine "
+        "boots",
     )
     parser.add_argument(
         "--workers",

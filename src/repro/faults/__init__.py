@@ -22,9 +22,7 @@ from repro.faults.campaign import (
     FaultCampaignResult,
     FaultContext,
     FaultResult,
-    INJECTION_ENV,
     checkpoint_for_fault,
-    injection_from_env,
     run_fault_campaign,
 )
 from repro.faults.report import (
@@ -44,12 +42,10 @@ __all__ = [
     "FaultContext",
     "FaultInjector",
     "FaultResult",
-    "INJECTION_ENV",
     "build_fault_plan",
     "checkpoint_for_fault",
     "comparison_dict",
     "dimensions_from_env",
-    "injection_from_env",
     "profile_from",
     "render_comparison_markdown",
     "render_markdown",

@@ -32,13 +32,12 @@ protocol (`repro.mutation.runner.CampaignTarget`) every path runs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.kernel.checkpoint import (
+    GRANULARITY,
     BootCheckpoint,
     CheckpointPlan,
-    GRANULARITIES,
     record_plan,
     resume_boot,
 )
@@ -61,19 +60,7 @@ from repro.faults.plan import AccessProfile, build_fault_plan, profile_from
 #: ``"cold"`` (boot every fault from the pristine snapshot).  Outcomes
 #: are identical either way; checkpointed runs just skip the shared
 #: clean prefix.
-INJECTION_ENV = "REPRO_FAULT_INJECTION"
-
 INJECTIONS = ("checkpoint", "cold")
-
-
-def injection_from_env(default: str = "checkpoint") -> str:
-    value = os.environ.get(INJECTION_ENV, "") or default
-    if value not in INJECTIONS:
-        raise ValueError(
-            f"unknown fault injection mode {value!r}; "
-            f"available: {', '.join(INJECTIONS)}"
-        )
-    return value
 
 
 @dataclass
@@ -174,7 +161,6 @@ class FaultContext:
     mode: str
     backend: str | None
     injection: str
-    granularity: str
     step_budget: int | None
     _program: object = None
     _machine: object = None
@@ -191,7 +177,6 @@ class FaultContext:
         mode: str = "debug",
         backend: str | None = None,
         injection: str = "checkpoint",
-        granularity: str = "subcall",
         step_budget: int | None = None,
     ) -> "FaultContext":
         if injection not in INJECTIONS:
@@ -199,14 +184,11 @@ class FaultContext:
                 f"unknown fault injection mode {injection!r}; "
                 f"available: {', '.join(INJECTIONS)}"
             )
-        if granularity not in GRANULARITIES:
-            raise ValueError(f"unknown granularity {granularity!r}")
         return cls(
             driver=driver,
             mode=mode,
             backend=backend,
             injection=injection,
-            granularity=granularity,
             step_budget=step_budget,
         )
 
@@ -223,13 +205,7 @@ class FaultContext:
         self._machine = machine
         self._injector = injector
         self._pristine = machine.snapshot()
-        plan = record_plan(
-            self._program,
-            machine,
-            DEFAULT_STEP_BUDGET,
-            backend=self.backend,
-            granularity=self.granularity,
-        )
+        plan = record_plan(self._program, machine, DEFAULT_STEP_BUDGET)
         if plan.report.outcome is not BootOutcome.BOOT:
             raise RuntimeError(
                 "fault campaigns require a clean baseline boot: "
@@ -268,10 +244,6 @@ class FaultContext:
         checkpoint = None
         if self.injection == "checkpoint":
             checkpoint = checkpoint_for_fault(plan, fault)
-        # Same backend policy as checkpointed mutant boots: hybrid
-        # (bit-identical to every backend) unless the tree reference
-        # backend was requested outright.
-        backend = "hybrid" if self.backend != "tree" else "tree"
         injector.set_faults((fault,))
         try:
             if checkpoint is not None:
@@ -284,7 +256,7 @@ class FaultContext:
                     checkpoint,
                     machine,
                     self._budget,
-                    backend=backend,
+                    backend=self.backend,
                 )
             else:
                 plan.stats["cold"] += 1
@@ -293,7 +265,7 @@ class FaultContext:
                     self._program,
                     machine,
                     step_budget=self._budget,
-                    backend=backend,
+                    backend=self.backend,
                 )
         finally:
             fired = injector.fired
@@ -349,7 +321,7 @@ class FaultTarget(CampaignTarget):
             seed=request.seed,
             per_dimension=per_dimension,
             injection=context.injection,
-            granularity=context.granularity,
+            granularity=GRANULARITY,
             dimensions=dimensions,
             clean_steps=context.clean_steps,
             step_budget=context.budget,
@@ -365,9 +337,9 @@ def run_fault_campaign(
     seed: int = DEFAULT_SEED,
     per_dimension: int = 8,
     dimensions=None,
-    injection: str | None = None,
+    injection: str = "checkpoint",
     backend: str | None = None,
-    checkpoint_granularity: str | None = None,
+    checkpoint_granularity: str = GRANULARITY,
     step_budget: int | None = None,
     workers: int = 1,
     progress: ProgressFn | None = None,
@@ -386,9 +358,9 @@ def run_fault_campaign(
     ``injection`` selects ``"checkpoint"`` (resume each fault from the
     deepest recorded snapshot before its trigger — the default) or
     ``"cold"`` (pristine-snapshot boots); outcomes are identical, per
-    the absolute-trigger argument in `repro.faults.injector`.  Defaults
-    resolve from ``REPRO_FAULT_INJECTION``, ``REPRO_FAULT_DIMENSIONS``
-    and ``REPRO_CHECKPOINT_GRANULARITY``.
+    the absolute-trigger argument in `repro.faults.injector`.
+    ``dimensions=None`` resolves from ``REPRO_FAULT_DIMENSIONS``, and
+    ``checkpoint_granularity`` accepts only ``"subcall"``.
     """
     from repro.engine.state import FaultRequest
 

@@ -7,8 +7,8 @@ executes.  This module amortises that prefix across the whole campaign:
 
 * :func:`record_plan` performs **one instrumented clean boot**, capturing
   a full machine + interpreter + kernel-state checkpoint before every
-  driver call, and recording per source line the step index and
-  driver-call index of its first execution;
+  driver call and at statement boundaries inside each call, and
+  recording per source line the step index of its first execution;
 * :func:`checkpoint_for_mutant` maps a mutant's changed line to the
   latest checkpoint *provably* before its first divergent step;
 * :func:`resume_boot` re-enters the boot at that checkpoint and produces
@@ -39,24 +39,18 @@ fallback cases:
   expansion leaves no token stamped with its line): its effect is not
   bounded by statement coverage → cold boot;
 * the changed line is outside the recorded coverage entirely (dead code
-  in the clean boot) → cold boot;
-* under call granularity only, first coverage during construction or
-  call 0 (``ide_init``): the checkpoint before call 0 saves nothing over
-  power-on → cold boot;
-* under call granularity only, switch group *label* lines: a label
-  mutant can redirect a re-executed switch's dispatch in an earlier
-  call than the label's first coverage, and only the sub-call
-  recorder's dispatch-step anchors can bound that → cold boot.
+  in the clean boot) → cold boot.
 
-Sub-call granularity
+Sub-call checkpoints
 --------------------
 
 Most Tables 3/4 mutants sit in the IDE polling helpers whose lines first
-execute during ``ide_init`` — call granularity cold-boots all of them.
-``record_plan(granularity="subcall")`` therefore records the clean boot
-on an instrumented tree-walking interpreter that additionally snapshots
-at **statement boundaries inside each driver call**: whenever the walker
-is about to execute a depth-1 statement (directly inside the driver
+execute during ``ide_init``, the first driver call, so checkpoints at
+call boundaries alone would cold-boot all of them.  :func:`record_plan`
+therefore records the clean boot on an instrumented tree-walking
+interpreter that also snapshots at **statement boundaries inside each
+driver call** (the one checkpoint granularity, ``"subcall"``): whenever
+the walker is about to execute a depth-1 statement (directly inside the driver
 entry's frame, never mid-expression), at most every ``subcall_interval``
 steps and ``subcall_limit`` times per call, it captures machine +
 interpreter + kernel state *plus* the active frame's locals and a
@@ -81,15 +75,13 @@ case group — comparing the selector against every group's label values —
 before any group's origin lines enter coverage, so a label-line mutant
 can diverge at the dispatch step.  The recorder anchors every group
 label line to its switch's dispatch step (``divergence_anchors``), and
-the mapping uses ``min(first step, anchor)``.  All call-granularity
-fallback cases above still apply (and are regression-pinned by tests);
-only the call-0 rule is replaced by the per-step bound.
+the mapping uses ``min(first step, anchor)``.  The fallback cases above
+still apply (and are regression-pinned by tests).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field, replace
 
 from repro.hw.machine import Machine, MachineSnapshot
@@ -110,16 +102,10 @@ from repro.minic.interp import (
 )
 from repro.minic.program import CompiledProgram
 
-#: Environment switch the campaign runner honours (see
-#: ``run_driver_campaign(boot_checkpoint=...)``).
-CHECKPOINT_ENV = "REPRO_BOOT_CHECKPOINT"
-
-#: Environment override for the campaign runner's checkpoint
-#: granularity: ``"call"`` (PR 3's call boundaries only) or ``"subcall"``
-#: (the default: call boundaries plus intra-call statement boundaries).
-GRANULARITY_ENV = "REPRO_CHECKPOINT_GRANULARITY"
-
-GRANULARITIES = ("call", "subcall")
+#: The one checkpoint granularity: call boundaries plus statement
+#: boundaries inside driver calls.  Fault campaign results report it,
+#: and campaign entry points accept it by name (:func:`check_granularity`).
+GRANULARITY = "subcall"
 
 #: Sub-call snapshot throttle: minimum steps between intra-call
 #: snapshots, and the per-call snapshot cap.  The first depth-1
@@ -129,33 +115,13 @@ DEFAULT_SUBCALL_INTERVAL = 24
 DEFAULT_SUBCALL_LIMIT = 64
 
 
-def checkpointing_enabled_by_env() -> bool:
-    return os.environ.get(CHECKPOINT_ENV, "") not in ("", "0")
-
-
-def granularity_from_env(default: str = "subcall") -> str:
-    value = os.environ.get(GRANULARITY_ENV, "") or default
-    if value not in GRANULARITIES:
+def check_granularity(granularity: str) -> None:
+    """Refuse any checkpoint granularity but :data:`GRANULARITY`."""
+    if granularity != GRANULARITY:
         raise ValueError(
-            f"unknown checkpoint granularity {value!r}; "
-            f"available: {', '.join(GRANULARITIES)}"
+            f"unknown checkpoint granularity {granularity!r}; "
+            f"available: {GRANULARITY}"
         )
-    return value
-
-
-def pinned_granularity(explicit: str | None) -> str | None:
-    """The granularity this campaign *insists* on, or ``None`` if free.
-
-    Pinned means an explicit parameter or a ``REPRO_CHECKPOINT_GRANULARITY``
-    override; a pinned value must match any loaded plan's recorded
-    granularity (the serial runner and the shard runner both enforce
-    this through here), while an unpinned campaign adopts the plan's.
-    """
-    if explicit is not None:
-        return explicit
-    if os.environ.get(GRANULARITY_ENV, "") != "":
-        return granularity_from_env()
-    return None
 
 
 def fresh_stats() -> dict:
@@ -190,34 +156,19 @@ class BootCheckpoint:
 class CheckpointPlan:
     """One instrumented clean boot's checkpoints and first-execution map."""
 
-    backend: str | None
     step_budget: int
     report: BootReport
-    #: ``"call"`` or ``"subcall"`` — selects the mutant-mapping rule.
-    granularity: str = "call"
     checkpoints: list[BootCheckpoint] = field(default_factory=list)
-    #: (file, line) -> driver-call index of first execution; -1 when the
-    #: line first executed during interpreter construction (global
-    #: initialisers).
-    first_call: dict[tuple[str, int], int] = field(default_factory=dict)
-    #: (file, line) -> interpreter step index at first execution (exact
-    #: on the tree backend — which sub-call plans always record on;
-    #: batch-granular on compiled backends, which sync ``steps`` at
-    #: batch boundaries).
+    #: (file, line) -> interpreter step index at first execution (exact:
+    #: plans record on the instrumented tree walker).
     first_step: dict[tuple[str, int], int] = field(default_factory=dict)
     #: Lines whose tokens reach non-executable constructs — mutations
     #: there are never resumable (see module docstring).
     unsafe_lines: frozenset = frozenset()
     #: (file, line) -> earlier divergence bound than first coverage:
     #: switch group label lines anchor to their switch's dispatch step
-    #: (sub-call plans only; see module docstring).
+    #: (see module docstring).
     divergence_anchors: dict = field(default_factory=dict)
-    #: Lines carrying switch group labels (statically collected).  Call-
-    #: granularity plans bar these from resumption outright: a label
-    #: mutant can redirect a *re-executed* switch's dispatch in an
-    #: earlier call than the label's first coverage, and only the
-    #: sub-call recorder observes dispatch steps to bound that exactly.
-    switch_label_lines: frozenset = frozenset()
     #: Diagnostics for benchmarks: resumed/cold decisions + steps
     #: skipped; ``resumed_subcall`` counts resumes from intra-call
     #: checkpoints (a subset of ``resumed``).
@@ -229,7 +180,7 @@ class CheckpointPlan:
 
 
 class _RecordingCoverage(set):
-    """Coverage set recording the step and call index of first insertion.
+    """Coverage set recording the step of each line's first insertion.
 
     Every backend reaches coverage through the interpreter's
     ``coverage`` attribute (``rt.coverage.update(...)`` or a per-call
@@ -240,16 +191,11 @@ class _RecordingCoverage(set):
     def __init__(self, interp):
         super().__init__()
         self._interp = interp
-        self.current_call = -1  # -1: interpreter construction
-        self.first_seen: dict[tuple[str, int], tuple[int, int]] = {}
-
-    def _record(self, item) -> None:
-        if item not in self.first_seen:
-            self.first_seen[item] = (self._interp.steps, self.current_call)
+        self.first_seen: dict[tuple[str, int], int] = {}
 
     def add(self, item) -> None:
         if item not in self:
-            self._record(item)
+            self.first_seen.setdefault(item, self._interp.steps)
         super().add(item)
 
     def update(self, *iterables) -> None:
@@ -482,8 +428,6 @@ def record_plan(
     program: CompiledProgram,
     machine: Machine,
     step_budget: int,
-    backend: str | None = None,
-    granularity: str = "call",
     subcall_interval: int = DEFAULT_SUBCALL_INTERVAL,
     subcall_limit: int = DEFAULT_SUBCALL_LIMIT,
     harness_factory=None,
@@ -495,13 +439,11 @@ def record_plan(
     should verify the outcome is :data:`BootOutcome.BOOT` before using
     the checkpoints.  The machine is left in its post-boot state.
 
-    ``granularity="call"`` records one checkpoint per driver-call
-    boundary on the requested ``backend``.  ``granularity="subcall"``
-    additionally snapshots at depth-1 statement boundaries inside each
-    call — at most one per ``subcall_interval`` steps and
-    ``subcall_limit`` per call — and always records on the instrumented
-    tree walker (exact step indices; the snapshots restore into any
-    backend).
+    The boot runs on the instrumented tree walker (exact step indices;
+    the snapshots restore into either backend).  It records one
+    checkpoint per driver-call boundary, plus snapshots at depth-1
+    statement boundaries inside each call — at most one per
+    ``subcall_interval`` steps and ``subcall_limit`` per call.
 
     ``harness_factory`` swaps the kernel boot harness for another
     workload: called as ``harness_factory(interp, machine)`` it must
@@ -512,21 +454,9 @@ def record_plan(
     :class:`~repro.kernel.outcomes.BootReport`.  ``None`` records the
     standard kernel boot.
     """
-    if granularity not in GRANULARITIES:
-        raise ValueError(
-            f"unknown checkpoint granularity {granularity!r}; "
-            f"available: {', '.join(GRANULARITIES)}"
-        )
-    subcall = granularity == "subcall"
-    if subcall:
-        interp = _RecordingInterpreter(
-            program, machine.bus, step_budget=step_budget, defer_globals=True
-        )
-    else:
-        interp_class = interpreter_for(backend or DEFAULT_BACKEND)
-        interp = interp_class(
-            program, machine.bus, step_budget=step_budget, defer_globals=True
-        )
+    interp = _RecordingInterpreter(
+        program, machine.bus, step_budget=step_budget, defer_globals=True
+    )
     recorder = _RecordingCoverage(interp)
     interp.coverage = recorder
     if harness_factory is None:
@@ -535,12 +465,7 @@ def record_plan(
         classifier = classify_run
     else:
         sequence, classifier = harness_factory(interp, machine)
-    plan = CheckpointPlan(
-        backend=backend,
-        step_budget=step_budget,
-        report=None,
-        granularity=granularity,
-    )
+    plan = CheckpointPlan(step_budget=step_budget, report=None)
     throttle = {"floor": 0, "taken": 0}
 
     def boundary_hook(stmt) -> None:
@@ -570,10 +495,8 @@ def record_plan(
         # a function call inside a *global initialiser* also reaches
         # depth 1, but a snapshot there would pair a pre-boot kernel
         # state with partially-initialised globals — unsound to resume.
-        if subcall:
-            interp.boundary_hook = boundary_hook
+        interp.boundary_hook = boundary_hook
         while not sequence.done:
-            recorder.current_call = sequence.call_index
             plan.checkpoints.append(
                 BootCheckpoint(
                     call_index=sequence.call_index,
@@ -589,47 +512,10 @@ def record_plan(
             sequence.step()
 
     plan.report = classifier(run, machine, interp)
-    plan.first_step = {
-        line: step for line, (step, _) in recorder.first_seen.items()
-    }
-    plan.first_call = {
-        line: call for line, (_, call) in recorder.first_seen.items()
-    }
+    plan.first_step = dict(recorder.first_seen)
     plan.unsafe_lines = _non_executable_lines(program)
-    plan.switch_label_lines = _switch_label_lines(program)
-    if subcall:
-        plan.divergence_anchors = dict(interp._switch_anchors)
+    plan.divergence_anchors = dict(interp._switch_anchors)
     return plan
-
-
-def _switch_label_lines(program: CompiledProgram) -> frozenset:
-    """Every line contributing tokens to a switch group label."""
-    lines: set = set()
-
-    def walk(stmt) -> None:
-        if isinstance(stmt, ast.Switch):
-            for group in stmt.groups:
-                lines.update(group.origins)
-                for inner in group.body:
-                    walk(inner)
-        elif isinstance(stmt, ast.Block):
-            for inner in stmt.statements:
-                walk(inner)
-        elif isinstance(stmt, ast.If):
-            walk(stmt.then)
-            if stmt.otherwise is not None:
-                walk(stmt.otherwise)
-        elif isinstance(stmt, (ast.While, ast.DoWhile)):
-            walk(stmt.body)
-        elif isinstance(stmt, ast.For):
-            if stmt.init is not None:
-                walk(stmt.init)
-            walk(stmt.body)
-
-    for decl in program.unit.decls:
-        if isinstance(decl, ast.FuncDecl) and decl.body is not None:
-            walk(decl.body)
-    return frozenset(lines)
 
 
 def _non_executable_lines(program: CompiledProgram) -> frozenset:
@@ -661,38 +547,10 @@ def checkpoint_for_mutant(
     ``changed_lines`` are the ``(file, line)`` pairs the mutant's text
     differs from the baseline on.  Returns ``None`` whenever divergence
     before any checkpoint cannot be ruled out — the caller cold-boots.
-
-    Call-granularity plans map through the driver-call index of first
-    coverage; sub-call plans bound the first divergent *step* — the
-    line's first-coverage step, tightened by the switch-dispatch anchors
-    — and pick the deepest checkpoint strictly before it.
+    The first divergent *step* is bounded by each line's first-coverage
+    step, tightened by the switch-dispatch anchors; the deepest
+    checkpoint strictly before it is returned.
     """
-    if plan.granularity == "subcall":
-        return _subcall_checkpoint_for_mutant(plan, changed_lines)
-    earliest: int | None = None
-    for line in changed_lines:
-        if line in plan.unsafe_lines:
-            return None
-        if line in plan.switch_label_lines:
-            # A label mutant can redirect a re-executed switch's
-            # dispatch in an earlier call than the label's first
-            # coverage; without recorded dispatch steps the call index
-            # cannot bound that, so label lines cold-boot.
-            return None
-        call = plan.first_call.get(line)
-        if call is None or call < 1:
-            # Outside recorded coverage, first executed during
-            # construction (-1), or during call 0: nothing to skip.
-            return None
-        earliest = call if earliest is None else min(earliest, call)
-    if earliest is None or earliest >= len(plan.checkpoints):
-        return None
-    return plan.checkpoints[earliest]
-
-
-def _subcall_checkpoint_for_mutant(
-    plan: CheckpointPlan, changed_lines
-) -> BootCheckpoint | None:
     divergence: int | None = None
     for line in changed_lines:
         if line in plan.unsafe_lines:
@@ -767,9 +625,11 @@ def resume_boot(
 
 #: Container kind + payload schema revision for saved plans.  Bump the
 #: version whenever `CheckpointPlan`/`BootCheckpoint`/snapshot layouts
-#: change shape; `load_plan` refuses newer versions.
+#: change shape; `load_plan` refuses any other version.  Format 2: one
+#: granularity, so no ``granularity``/``backend`` fields and no
+#: call-only line maps (a format-1 ``"call"`` plan is refused).
 PLAN_KIND = "checkpoint-plan"
-PLAN_FORMAT_VERSION = 1
+PLAN_FORMAT_VERSION = 2
 
 
 class PlanError(ValueError):
@@ -786,7 +646,6 @@ def plan_fingerprint(plan: CheckpointPlan, source: str, driver_filename: str) ->
     return {
         "driver_filename": driver_filename,
         "source_sha256": source_digest(source),
-        "granularity": plan.granularity,
         "step_budget": plan.step_budget,
     }
 
@@ -798,8 +657,8 @@ def save_plan(
 
     The file is self-describing: a header readable without
     deserialisation (:func:`read_plan_header`) carries the plan's
-    fingerprint — driver file name, baseline source digest, granularity,
-    recording step budget — plus payload counts.  The payload is a
+    fingerprint — driver file name, baseline source digest, recording
+    step budget — plus payload counts.  The payload is a
     canonical pickle (`repro.serialize`), so saving the same plan twice
     produces identical bytes and a load → save cycle is byte-stable.
     Mutable campaign counters (``stats``) are zeroed in the saved copy.
@@ -809,7 +668,6 @@ def save_plan(
 
     header = plan_fingerprint(plan, source, driver_filename)
     header["plan_format"] = PLAN_FORMAT_VERSION
-    header["backend"] = plan.backend
     header["checkpoints"] = len(plan.checkpoints)
     header["clean_steps"] = plan.clean_steps
     portable = replace(plan, stats=fresh_stats())
@@ -839,16 +697,15 @@ def load_plan(
     path,
     source: str | None = None,
     driver_filename: str | None = None,
-    granularity: str | None = None,
     step_budget: int | None = None,
 ) -> CheckpointPlan:
     """Load a saved plan, validating its fingerprint against the campaign.
 
     Every keyword given is checked against the file's header: ``source``
     must hash to the recorded baseline digest (a plan is only sound for
-    the exact driver text it recorded), ``driver_filename`` /
-    ``granularity`` / ``step_budget`` must match outright.  Mismatches
-    raise :class:`PlanError` *before* the snapshot payload is touched.
+    the exact driver text it recorded), ``driver_filename`` and
+    ``step_budget`` must match outright.  Mismatches raise
+    :class:`PlanError` *before* the snapshot payload is touched.
     The returned plan carries fresh zeroed ``stats``.
     """
     from repro.serialize import read_container
@@ -859,8 +716,6 @@ def load_plan(
         expectations.append(("source_sha256", source_digest(source)))
     if driver_filename is not None:
         expectations.append(("driver_filename", driver_filename))
-    if granularity is not None:
-        expectations.append(("granularity", granularity))
     if step_budget is not None:
         expectations.append(("step_budget", step_budget))
     for key, expected in expectations:

@@ -22,7 +22,6 @@ outcome classes via the exception types of `repro.minic.errors`.
 
 from __future__ import annotations
 
-import os
 import zlib
 
 from repro.hw.diskimage import (
@@ -55,11 +54,11 @@ DRIVER_ABI = ("ide_init", "ide_read", "ide_write")
 #: Default watchdog: generous against the ~60k-step clean boot.
 DEFAULT_STEP_BUDGET = 1_500_000
 
-#: Execution backend booted kernels run on.  "closure" is the lowered
-#: fast path, "source" the Python-source-emitting codegen backend, and
-#: "tree" the reference walker (`REPRO_MINIC_BACKEND` overrides, and
-#: the equivalence + differential tests assert all three agree).
-DEFAULT_BACKEND = os.environ.get("REPRO_MINIC_BACKEND", "closure")
+#: Execution backend booted kernels run on: "source", the fast path
+#: (`repro.minic.codegen`).  "tree", the reference walker, is the only
+#: other backend; the equivalence and differential tests assert the
+#: two agree.
+DEFAULT_BACKEND = "source"
 
 MAX_FILES = 64
 

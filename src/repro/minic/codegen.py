@@ -1,6 +1,6 @@
-"""Source-emitting codegen backend for mini-C.
+"""The ``source`` backend: mini-C functions emitted as Python source.
 
-The closure backend (`repro.minic.compile`) removed per-node dispatch but
+Closure lowering (`repro.minic.compile`) removed per-node dispatch but
 still pays one Python call per AST node at run time.  This module removes
 the calls too: each checked function body is emitted as *Python source
 text* — real ``while``/``break``/``continue``, mini-C locals as Python
@@ -9,11 +9,11 @@ port-I/O idioms (``inb(PORT)``, ``(inb(PORT) & MASK) == V``, ``i++``)
 fused into single statements — then ``compile()``d once per function and
 ``exec``'d into a per-program namespace.
 
-Semantics are bit-for-bit those of the tree walker (and therefore of the
-closure backend): same outcomes, same step counts, same coverage sets,
+Semantics are bit-for-bit those of the tree walker (and therefore of
+closure lowering): same outcomes, same step counts, same coverage sets,
 same fault messages, same log lines and disk effects.  The emitter is a
 statement-for-statement transliteration of ``compile._Lowerer``; every
-step-batching decision either copies the closure backend's or is one of
+step-batching decision either copies closure lowering's or is one of
 the two provably neutral extensions below:
 
 * the per-iteration ``coverage.update(origins)`` of a loop is skipped:
@@ -43,7 +43,7 @@ statements after it, shadowing outer bindings), so each local maps to a
 mangled Python local at emit time.  One construct genuinely needs the
 dynamic scan — a ``switch`` whose case groups declare locals, where
 jumping into a later group skips the declaration — and any function
-containing it falls back to the closure backend (both backends are
+containing it falls back to closure lowering (the two are
 bit-identical, so mixing is safe).  A per-call arity guard routes calls
 with unexpected argument counts to the closure function for the same
 reason.
@@ -54,7 +54,9 @@ signatures and global types — everything emission and sema annotation
 of an unchanged declaration can depend on), so
 `repro.minic.incremental.CampaignCompiler` splices reuse unmutated
 functions' code objects across mutants; the assembled per-program
-function table is cached on the program like the closure backend's.
+function table is cached on the program.  A declaration the compile
+cache re-parsed for one variant and that has no loop is closure-lowered
+instead of emitted (see :func:`compiled_source_functions`).
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ _FRAME: list = []
 
 
 def _binary_slow(rt, op, left_v, right_v, common_wrap, result_wrap, result_type):
-    """Non-int operands of a binary op — the closure backend's fallbacks."""
+    """Non-int operands of a binary op — closure lowering's fallbacks."""
     if isinstance(left_v, CPointer) or isinstance(right_v, CPointer):
         return _pointer_binary(rt, op, left_v, right_v)
     if (
@@ -704,7 +706,7 @@ class _FunctionEmitter:
         self.push()
         self.line(f"def {self.pyname}(rt, _args):")
         self.push()
-        # Unexpected arity: the closure backend's zip-binding semantics
+        # Unexpected arity: closure lowering's zip-binding semantics
         # (missing params stay unbound) are genuinely dynamic — route the
         # whole call there.
         self.line(f"if len(_args) != {len(decl.params)}:")
@@ -2284,7 +2286,7 @@ def _emit_decl(decl: ast.FuncDecl, env: _Env):
 
 
 def _closure_call(program: CompiledProgram, name: str) -> Callable:
-    """Lazy dispatch into the closure backend's lowering of ``name``."""
+    """Lazy dispatch into the whole-program closure lowering of ``name``."""
 
     def call(rt, args):
         return compiled_functions(program)[name](rt, args)
@@ -2293,36 +2295,63 @@ def _closure_call(program: CompiledProgram, name: str) -> Callable:
 
 
 def compiled_source_functions(program: CompiledProgram) -> dict[str, Callable]:
-    """Source-compiled function bodies for ``program``.
+    """The function table the source backend runs ``program`` on.
 
-    Assembled once per program (cached on it); per-declaration code
-    objects are cached on the declaration nodes keyed by the environment
-    fingerprint, so `CampaignCompiler` splices recompile only mutated
-    functions.
+    Assembled once per program (cached on it); each entry compiles its
+    function on first call, so functions a boot never reaches cost
+    nothing.  One rule chooses how:
+
+    * a declaration the compile cache re-parsed for this variant
+      (``program.fresh``) that contains no loop is closure-lowered: its
+      emission would serve this one mutant, and lowering it costs
+      ~0.05 ms against ~1 ms for a Python ``compile``;
+    * every other declaration is source-emitted, its code object cached
+      on the declaration node under the environment fingerprint, so the
+      baseline and every campaign variant sharing the node reuse it.  A
+      fresh declaration with a loop is emitted too: a budget-bound
+      mutant burns its whole step budget inside its own loop, where the
+      emitted polling idioms run ~3x faster than closures.
+
+    Cross-calls in both directions dispatch through this table.
     """
     cached = getattr(program, "_source_functions", None)
     if cached is not None:
         return cached
     env = _Env(program)
     fns: dict[str, Callable] = {}
+    lowerer_slot: list = []
+
+    def shared_lowerer() -> _Lowerer:
+        if not lowerer_slot:
+            lowerer = _Lowerer(program)
+            # Closure-lowered bodies call their source-compiled siblings
+            # (and vice versa) through this table.
+            lowerer.compiled = fns
+            lowerer_slot.append(lowerer)
+        return lowerer_slot[0]
+
     for name, decl in env.function_decls.items():
         entry = getattr(decl, "_source_code", None)
-        if entry is None or entry[0] != env.key:
-            # Cache miss (this declaration is the mutated one, or the
-            # program is new): defer emission until the function actually
-            # runs — mutants in never-executed functions skip it.
-            fns[name] = _deferred_entry(program, name, decl, env, fns)
-            continue
-        factory = entry[1]
-        if factory is None:
-            fns[name] = _closure_call(program, name)
-            continue
-        fns[name] = factory(fns, _closure_call(program, name))
+        if entry is not None and entry[0] == env.key:
+            fns[name] = _instantiate(program, name, entry[1], fns)
+        elif id(decl) in program.fresh and not _contains_loop(
+            decl.body.statements
+        ):
+            fns[name] = _lowered_entry(name, decl, fns, shared_lowerer)
+        else:
+            fns[name] = _emitted_entry(program, name, decl, env, fns)
     program._source_functions = fns
     return fns
 
 
-def _deferred_entry(program, name, decl, env, fns) -> Callable:
+def _instantiate(program, name, factory, fns) -> Callable:
+    """Bind an emitted factory to ``fns`` (closure path when unsupported)."""
+    if factory is None:
+        return _closure_call(program, name)
+    return factory(fns, _closure_call(program, name))
+
+
+def _emitted_entry(program, name, decl, env, fns) -> Callable:
     """Emit + compile on first call, then replace ourselves in the table."""
 
     def first_call(rt, args):
@@ -2330,12 +2359,17 @@ def _deferred_entry(program, name, decl, env, fns) -> Callable:
         if entry is None or entry[0] != env.key:
             entry = (env.key, _emit_decl(decl, env))
             decl._source_code = entry
-        factory = entry[1]
-        if factory is None:
-            compiled = _closure_call(program, name)
-        else:
-            compiled = factory(fns, _closure_call(program, name))
-        fns[name] = compiled
+        compiled = fns[name] = _instantiate(program, name, entry[1], fns)
+        return compiled(rt, args)
+
+    return first_call
+
+
+def _lowered_entry(name, decl, fns, shared_lowerer) -> Callable:
+    """Closure-lower on first call, then replace ourselves in the table."""
+
+    def first_call(rt, args):
+        compiled = fns[name] = shared_lowerer()._lower_function(decl)
         return compiled(rt, args)
 
     return first_call
@@ -2349,8 +2383,8 @@ class SourceInterpreter(Interpreter):
 
     Globals are still initialised by the inherited tree-walking logic
     (initialisers run once; their step accounting must match the
-    reference backend exactly); every function call dispatches into the
-    emitted Python functions.
+    reference backend exactly); every function call dispatches into
+    the table :func:`compiled_source_functions` builds.
     """
 
     def __init__(
@@ -2376,14 +2410,13 @@ class SourceInterpreter(Interpreter):
 
     def _call_function(self, decl, args):
         # Tree-walked statements (global initialisers, resumed in-flight
-        # calls) dispatch nested calls into the emitted bodies, whose
+        # calls) dispatch nested calls into the compiled bodies, whose
         # call prologue is step-for-step the walker's.
         return self._compiled[decl.name](self, args)
 
-    # As on the closure backend: fresh statements in a resumed in-flight
-    # call run closure-lowered (source emission is per-function, so
-    # statement-level lowering borrows the closure backend's), cached on
-    # the shared AST nodes with calls late-bound through rt._compiled.
+    # Fresh statements in a resumed in-flight call run closure-lowered
+    # (source emission is per-function), cached on the shared AST nodes
+    # with calls late-bound through rt._compiled.
     _resume_lowerer = None
     _exec_resumed = ClosureInterpreter._exec_resumed
 
@@ -2407,90 +2440,5 @@ def _contains_loop(stmts) -> bool:
     return False
 
 
-def compiled_hybrid_functions(program: CompiledProgram) -> dict[str, Callable]:
-    """Source-compiled where cached, closure-lowered where fresh (and safe).
-
-    Campaign mutants share every unmutated declaration's emitted code
-    object with the baseline; only the freshly re-parsed (mutated)
-    declarations lack a cache entry.  Emitting those through the source
-    backend costs a per-mutant Python ``compile`` (~1 ms); lowering just
-    the fresh declaration on the closure backend costs ~0.05 ms with
-    bit-identical semantics.  Fresh declarations that contain a loop
-    keep the source path: a budget-bound mutant burns its entire step
-    budget inside its own loop, where the source backend's fused polling
-    idioms are ~3x faster than closures — exactly the wrong place to
-    trade execution speed for setup cost.  Cross-calls in both
-    directions dispatch through the shared function table, mirroring the
-    per-function closure fallback the source backend already performs.
-    """
-    cached = getattr(program, "_hybrid_functions", None)
-    if cached is not None:
-        return cached
-    env = _Env(program)
-    fns: dict[str, Callable] = {}
-    lowerer_slot: list = []
-
-    def shared_lowerer() -> _Lowerer:
-        if not lowerer_slot:
-            lowerer = _Lowerer(program)
-            # Late-bound call dispatch goes through the *hybrid* table,
-            # so a closure-lowered body calls its source-compiled
-            # siblings (and vice versa).
-            lowerer.compiled = fns
-            lowerer_slot.append(lowerer)
-        return lowerer_slot[0]
-
-    for name, decl in env.function_decls.items():
-        entry = getattr(decl, "_source_code", None)
-        if entry is None or entry[0] != env.key:
-            if decl.body is not None and _contains_loop(decl.body.statements):
-                fns[name] = _deferred_entry(program, name, decl, env, fns)
-            else:
-                fns[name] = _closure_lowered_entry(
-                    name, decl, fns, shared_lowerer
-                )
-            continue
-        factory = entry[1]
-        if factory is None:
-            fns[name] = _closure_call(program, name)
-            continue
-        fns[name] = factory(fns, _closure_call(program, name))
-    program._hybrid_functions = fns
-    return fns
-
-
-def _closure_lowered_entry(name, decl, fns, shared_lowerer) -> Callable:
-    """Lower on first call, then replace ourselves in the table."""
-
-    def first_call(rt, args):
-        compiled = shared_lowerer()._lower_function(decl)
-        fns[name] = compiled
-        return compiled(rt, args)
-
-    return first_call
-
-
-class HybridInterpreter(SourceInterpreter):
-    """Campaign execution backend for compile-cache splices.
-
-    Identical observable semantics to every other backend; selected by
-    the checkpointed campaign runner where per-mutant source emission
-    would dominate the boot.
-    """
-
-    def __init__(
-        self,
-        program,
-        bus=None,
-        step_budget: int = 2_000_000,
-        defer_globals: bool = False,
-    ):
-        self._compiled = compiled_hybrid_functions(program)
-        Interpreter.__init__(
-            self, program, bus, step_budget=step_budget, defer_globals=defer_globals
-        )
-
-
-#: Importing this module registers the backends (see compile.interpreter_for).
+#: Importing this module registers the backend (see compile.interpreter_for).
 BACKENDS["source"] = SourceInterpreter
-BACKENDS["hybrid"] = HybridInterpreter

@@ -1,4 +1,4 @@
-"""Closure-compilation backend for mini-C.
+"""Closure lowering for mini-C.
 
 The tree-walking interpreter (`repro.minic.interp`) re-dispatches on AST
 node types at every step — an ``isinstance`` chain per statement and per
@@ -13,9 +13,12 @@ the reference semantics as the fallback.
 
 Semantics are bit-for-bit those of the tree walker — including step
 accounting, coverage sets, fault messages and classification — which the
-backend-equivalence tests assert on whole driver boots.  The tree walker
-stays as the reference backend; select with ``Interpreter`` vs
-:class:`ClosureInterpreter` (or ``backend=`` on `repro.kernel.boot`).
+backend-equivalence tests assert on whole driver boots.  The lowering is
+not a backend of its own: the ``source`` backend (`repro.minic.codegen`)
+closure-lowers the functions it does not emit (a variant's fresh
+loop-free declarations, dynamic-fallback functions) and the statements
+of a resumed in-flight call, and :class:`ClosureInterpreter` runs it on
+whole programs for the tests.
 
 Lowering conventions:
 
@@ -2044,30 +2047,25 @@ class ClosureInterpreter(Interpreter):
         fn(self)
 
 
-#: Named backends, for harness-level selection.
-BACKENDS = {
-    "tree": Interpreter,
-    "closure": ClosureInterpreter,
-}
+#: Named backends: "tree", the reference walker, and "source", the fast
+#: path (`repro.minic.codegen`, registered when first asked for, which
+#: keeps this module import-light).  :class:`ClosureInterpreter` is not
+#: a backend: the source backend lowers single functions and resumed
+#: statements through this module's lowerer, and tests run it whole.
+BACKENDS = {"tree": Interpreter}
 
-#: Backends registered on first use — importing the module adds the
-#: class to ``BACKENDS`` (keeps this module import-light).
-_LAZY_BACKENDS = {
-    "source": "repro.minic.codegen",
-    "hybrid": "repro.minic.codegen",
-}
+#: Every backend name :func:`interpreter_for` accepts.
+BACKEND_NAMES = ("tree", "source")
 
 
 def interpreter_for(backend: str):
     """The interpreter class implementing ``backend``."""
+    if backend == "source" and backend not in BACKENDS:
+        importlib.import_module("repro.minic.codegen")
     cls = BACKENDS.get(backend)
-    if cls is None and backend in _LAZY_BACKENDS:
-        importlib.import_module(_LAZY_BACKENDS[backend])
-        cls = BACKENDS.get(backend)
     if cls is None:
-        available = sorted(set(BACKENDS) | set(_LAZY_BACKENDS))
         raise ValueError(
             f"unknown mini-C backend {backend!r}; "
-            f"available: {', '.join(available)}"
+            f"available: {', '.join(BACKEND_NAMES)}"
         )
     return cls

@@ -34,7 +34,7 @@ carry the node-attached caches described next) and never mutated by the
 parser.  Two things are cached *on* shared nodes, and both are only
 valid while every name a reused statement references keeps its type:
 sema's ``ctype`` annotations (re-written when the fresh function is
-checked) and the closure backend's resume lowerings
+checked) and the resume lowerings of the ``source`` backend
 (``Stmt._resume_lowered``).  So a re-parsed declaration that reused
 anything is compared with the baseline's on its return type, parameters
 and ordered local declarations with their scope nesting
@@ -574,7 +574,9 @@ class CampaignCompiler:
             # Change outside the safely re-parsable declaration spans —
             # take the safe path.
             self.stats["full"] += 1
-            return self._full_compile(text)
+            program = self._full_compile(text)
+            program.fresh = frozenset(map(id, program.unit.decls))
+            return program
         first, last, _, _ = located
 
         new_decls = self._reparse(tokens, span, located)
@@ -815,6 +817,7 @@ class CampaignCompiler:
         return CompiledProgram(
             unit=unit,
             warnings=[d for d in sink.diagnostics if not d.is_error],
+            fresh=frozenset(fresh_ids),
         )
 
     def _ensure_baseline_annotations(self) -> None:

@@ -58,8 +58,8 @@ class InterpreterSnapshot:
     deep-copied *into* the snapshot when taken and *out of* it on every
     restore, so neither the source interpreter nor any number of resumed
     runs can alias each other's arrays or structs.  Snapshots transfer
-    between backends: the tree, closure, source and hybrid interpreters
-    keep all run state in the same base attributes.
+    between interpreters: the tree walker, the source backend and the
+    closure interpreter keep all run state in the same base attributes.
 
     Safe points are function-call boundaries (``frames`` empty) and, for
     interpreters that track a statement path (the checkpoint recorder),

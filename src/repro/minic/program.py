@@ -30,6 +30,11 @@ class SourceFile:
 class CompiledProgram:
     unit: ast.TranslationUnit
     warnings: list[Diagnostic] = field(default_factory=list)
+    #: ``id()``s of the declarations the compile cache re-parsed for this
+    #: variant (`repro.minic.incremental.CampaignCompiler`); every other
+    #: declaration may be shared with other programs.  Empty for a
+    #: program compiled from scratch.
+    fresh: frozenset = frozenset()
 
     def function_names(self) -> list[str]:
         return [

@@ -16,16 +16,18 @@ count produces the same result as ``workers=1``.  A shard
 (`repro.distributed.run_shard`) is the same loop over an index stride
 of the same target's sampled items.
 
-Per-mutant cost is kept low by two campaign-scoped optimisations, both
-individually defeatable for reference runs:
+Every campaign runs one fast configuration by default, and each of its
+parts can be turned off for reference runs:
 
+* ``backend`` is ``"source"`` (`repro.minic.codegen`); ``"tree"`` is the
+  reference walker;
 * ``compile_cache=True`` routes compilation through
   :class:`repro.minic.incremental.CampaignCompiler`, which re-lexes the
   mutated line and re-parses only the statements the edit touches,
   reusing the baseline's nodes for the rest of the driver file;
-* ``backend`` selects the mini-C execution backend (default: the
-  closure-compiled fast path; ``"source"`` is the still-faster
-  source-emitting codegen backend, ``"tree"`` the reference walker).
+* ``boot_checkpoint=True`` starts each mutant from the deepest boot
+  checkpoint provably before its first divergent step
+  (`repro.kernel.checkpoint`), instead of from power-on.
 """
 
 from __future__ import annotations
@@ -45,14 +47,11 @@ from repro.drivers import (
 )
 from repro.hw.machine import standard_pc
 from repro.kernel.checkpoint import (
-    GRANULARITIES,
+    GRANULARITY,
     CheckpointPlan,
     changed_lines_of,
     checkpoint_for_mutant,
-    checkpointing_enabled_by_env,
-    granularity_from_env,
     load_plan,
-    pinned_granularity,
     record_plan,
     resume_boot,
     save_plan,
@@ -544,9 +543,9 @@ class MutantTarget(CampaignTarget):
 
     Each mutant is spliced into the setup's source, compiled (through
     the incremental compiler unless ``compile_cache=False``) and booted
-    on the setup's harness.  With ``boot_checkpoint`` the boot starts
-    from the deepest checkpoint provably before the mutant's first
-    divergent step; :meth:`warm` records the plan (or loads
+    on the setup's harness.  With ``boot_checkpoint`` (the default) the
+    boot starts from the deepest checkpoint provably before the mutant's
+    first divergent step; :meth:`warm` records the plan (or loads
     ``plan_path``, a `repro.kernel.checkpoint.save_plan` file), plus
     one reusable machine and its pristine snapshot.
     """
@@ -556,9 +555,7 @@ class MutantTarget(CampaignTarget):
         setup: CampaignSetup,
         backend: str | None = None,
         compile_cache: bool = True,
-        boot_checkpoint: bool = False,
-        granularity: str = "subcall",
-        granularity_pinned: bool = False,
+        boot_checkpoint: bool = True,
         plan_path: str | None = None,
     ):
         self.setup = setup
@@ -569,11 +566,6 @@ class MutantTarget(CampaignTarget):
                 setup.driver_filename, setup.source, setup.registry
             )
         self.boot_checkpoint = boot_checkpoint
-        self.granularity = granularity
-        #: Whether ``granularity`` was requested explicitly (parameter or
-        #: environment override): a loaded plan's granularity must then
-        #: match instead of being adopted.
-        self.granularity_pinned = granularity_pinned
         self.plan_path = plan_path
         self.plan: CheckpointPlan | None = None
         self._machine = None
@@ -590,12 +582,8 @@ class MutantTarget(CampaignTarget):
                 self.plan_path,
                 source=setup.source,
                 driver_filename=setup.driver_filename,
-                granularity=self.granularity if self.granularity_pinned else None,
                 step_budget=harness.plan_budget,
             )
-            # Adopt the plan's recorded granularity so the stats and
-            # mapping rules match what is actually on disk.
-            self.granularity = self.plan.granularity
         else:
             if self.compiler is not None:
                 baseline = self.compiler.baseline_program
@@ -608,8 +596,6 @@ class MutantTarget(CampaignTarget):
                 baseline,
                 self._machine,
                 harness.plan_budget,
-                backend=self.backend,
-                granularity=self.granularity,
                 harness_factory=harness.factory,
             )
         if self.plan.report.outcome is not BootOutcome.BOOT:
@@ -683,24 +669,17 @@ class MutantTarget(CampaignTarget):
         """Boot a mutant from the deepest provably-safe checkpoint.
 
         Outcome fidelity: both paths below are bit-identical to a cold
-        ``harness.boot`` on a fresh machine —
-
-        * resumption restores the exact machine/interpreter/sequence
-          state the mutant itself would reach at that boundary (see
-          ``repro.kernel.checkpoint``), and cold boots reinstate the
-          pristine machine snapshot, observably equal to a fresh machine;
-        * boots run on the ``hybrid`` backend (bit-identical semantics to
-          every other backend, asserted by the differential suite),
-          which avoids the per-mutant Python-``compile`` emission for
-          loop-free mutated functions while keeping the source backend's
-          loop speed — unless the campaign pinned ``tree``.
+        ``harness.boot`` on a fresh machine — resumption restores the
+        exact machine/interpreter/sequence state the mutant itself would
+        reach at that boundary (see ``repro.kernel.checkpoint``), and
+        cold boots reinstate the pristine machine snapshot, observably
+        equal to a fresh machine.
         """
         plan, machine, harness = self.plan, self._machine, self.setup.harness
         checkpoint = None
         lines = changed_lines_of(mutant.site, mutant.replacement)
         if lines is not None:
             checkpoint = checkpoint_for_mutant(plan, lines)
-        backend = "hybrid" if self.backend != "tree" else "tree"
         if checkpoint is not None:
             plan.stats["resumed"] += 1
             if checkpoint.subcall:
@@ -711,58 +690,28 @@ class MutantTarget(CampaignTarget):
                 checkpoint,
                 machine,
                 self.setup.budget,
-                backend=backend,
+                backend=self.backend,
                 harness_factory=harness.factory,
             )
         plan.stats["cold"] += 1
         machine.restore(self._pristine)
-        return harness.boot(program, machine, self.setup.budget, backend)
+        return harness.boot(program, machine, self.setup.budget, self.backend)
 
 
 def resolve_checkpoint_options(
-    boot_checkpoint: bool | None,
-    checkpoint_granularity: str | None,
-    checkpoint_plan: str | None = None,
-) -> tuple[bool, str, bool]:
-    """Resolve a campaign's checkpoint knobs against the environment.
+    boot_checkpoint: bool, checkpoint_plan: str | None = None
+) -> bool:
+    """Whether a mutant campaign boots from checkpoints.
 
-    Returns ``(boot_checkpoint, granularity, granularity_pinned)``.  An
-    explicitly passed unknown granularity raises ``ValueError`` at once.
-    The environment is consulted lazily — only when the caller left a
-    knob unset, and the granularity env value is validated only when
-    checkpointing is actually on, so a stale ``REPRO_CHECKPOINT_*``
-    value cannot abort (or pin anything on) a non-checkpointed
-    campaign.  A ``checkpoint_plan`` path (a shard loading a portable
-    plan) implies checkpointing.  The one resolver behind every
-    mutant-campaign path — serial, shards, ``workers=N``, the engine and
-    the daemon — reached through the requests' warm specs
-    (`repro.engine.state`).
+    A ``checkpoint_plan`` path (a shard loading a portable plan) needs
+    checkpointing, so combining it with ``boot_checkpoint=False``
+    raises ``ValueError``.  Every mutant-campaign path — serial, shards,
+    ``workers=N``, the engine and the daemon — resolves through here,
+    via the requests' warm specs (`repro.engine.state`).
     """
-    if (
-        checkpoint_granularity is not None
-        and checkpoint_granularity not in GRANULARITIES
-    ):
-        raise ValueError(
-            f"unknown checkpoint granularity {checkpoint_granularity!r}; "
-            f"available: {', '.join(GRANULARITIES)}"
-        )
-    if checkpoint_plan is not None:
-        if boot_checkpoint is None:
-            boot_checkpoint = True
-        elif not boot_checkpoint:
-            raise ValueError(
-                "checkpoint_plan given but boot_checkpoint=False"
-            )
-    if boot_checkpoint is None:
-        boot_checkpoint = checkpointing_enabled_by_env()
-    granularity_pinned = boot_checkpoint and (
-        pinned_granularity(checkpoint_granularity) is not None
-    )
-    if checkpoint_granularity is None:
-        checkpoint_granularity = (
-            granularity_from_env() if boot_checkpoint else "subcall"
-        )
-    return boot_checkpoint, checkpoint_granularity, granularity_pinned
+    if checkpoint_plan is not None and not boot_checkpoint:
+        raise ValueError("checkpoint_plan given but boot_checkpoint=False")
+    return boot_checkpoint
 
 
 def run_driver_campaign(
@@ -775,24 +724,20 @@ def run_driver_campaign(
     workers: int = 1,
     backend: str | None = None,
     compile_cache: bool = True,
-    boot_checkpoint: bool | None = None,
-    checkpoint_granularity: str | None = None,
+    boot_checkpoint: bool = True,
+    checkpoint_granularity: str = GRANULARITY,
     engine=None,
 ) -> CampaignResult:
     """Mutation campaign against a driver (Table 3: "c"; Table 4: "cdevil").
 
     ``workers`` > 1 evaluates mutants on a throwaway supervised
     `repro.engine.Engine`; results merge by mutant index, so the outcome
-    is identical to a serial run.  ``backend``/``compile_cache`` select
-    the execution backend and the incremental compiler (defaults: fast
-    paths).  ``boot_checkpoint`` starts each mutant from the deepest boot
-    checkpoint provably before its first divergent step instead of from
-    power-on (bit-identical outcomes; default: the
-    ``REPRO_BOOT_CHECKPOINT`` environment variable).
-    ``checkpoint_granularity`` selects ``"subcall"`` (the default:
-    resume inside driver calls too) or ``"call"`` (PR 3's call
-    boundaries only); the ``REPRO_CHECKPOINT_GRANULARITY`` environment
-    variable overrides the default.
+    is identical to a serial run.  ``backend`` (``"source"`` or
+    ``"tree"``), ``compile_cache`` and ``boot_checkpoint`` select the
+    fast configuration by default and the reference one when set to
+    ``"tree"``/``False``; outcomes are bit-identical either way (see the
+    module docstring).  ``checkpoint_granularity`` accepts only
+    ``"subcall"``, the one granularity.
 
     ``engine`` routes the whole campaign through a warm
     `repro.engine.Engine` instead of building setup state here —

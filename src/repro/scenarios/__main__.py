@@ -21,7 +21,7 @@ import json
 import os
 import sys
 
-from repro.kernel.checkpoint import GRANULARITIES
+from repro.minic.compile import BACKEND_NAMES
 from repro.mutation.sampling import DEFAULT_SEED
 from repro.scenarios.corpus import (
     PROFILE_ORDER,
@@ -67,18 +67,12 @@ def main(argv: list[str] | None = None) -> int:
         "--workers", type=int, default=1,
         help="evaluate on a supervised engine with N workers",
     )
-    run.add_argument("--backend", default=None)
+    run.add_argument("--backend", choices=BACKEND_NAMES, default=None)
     run.add_argument(
         "--boot-checkpoint",
         action=argparse.BooleanOptionalAction,
-        default=None,
-        help="resume mutants from checkpoints "
-        "(default: REPRO_BOOT_CHECKPOINT)",
-    )
-    run.add_argument(
-        "--granularity", choices=GRANULARITIES, default=None,
-        help="checkpoint granularity "
-        "(default: REPRO_CHECKPOINT_GRANULARITY, else subcall)",
+        default=True,
+        help="resume mutants from checkpoints (default: on)",
     )
     run.add_argument("--step-budget", type=int, default=None)
 
@@ -116,7 +110,6 @@ def main(argv: list[str] | None = None) -> int:
             workers=args.workers,
             backend=args.backend,
             boot_checkpoint=args.boot_checkpoint,
-            checkpoint_granularity=args.granularity,
         )
         print(json.dumps({
             "driver": campaign.driver,

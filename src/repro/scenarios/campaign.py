@@ -31,6 +31,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 
+from repro.kernel.checkpoint import GRANULARITY
 from repro.kernel.kernel import DEFAULT_BACKEND
 from repro.kernel.outcomes import BootOutcome, BootReport
 from repro.minic import SourceFile, compile_program
@@ -327,8 +328,8 @@ def run_scenario_campaign(
     workers: int = 1,
     backend: str | None = None,
     compile_cache: bool = True,
-    boot_checkpoint: bool | None = None,
-    checkpoint_granularity: str | None = None,
+    boot_checkpoint: bool = True,
+    checkpoint_granularity: str = GRANULARITY,
     engine=None,
 ) -> CampaignResult:
     """Mutation campaign against one scenario (object or stable id).

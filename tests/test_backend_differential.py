@@ -1,14 +1,19 @@
 """Cross-backend differential fuzz harness.
 
-Trusting a third execution backend takes more than hand-picked examples:
-this module generates random (but always sema-valid) mini-C programs —
-nested loops, port I/O, early returns, integer-width edge cases,
-switches, shadowing declarations — runs each on every backend against a
-deterministic scripted bus, and asserts that *everything observable* is
+Trusting a compiled execution backend takes more than hand-picked
+examples: this module generates random (but always sema-valid) mini-C
+programs — nested loops, port I/O, early returns, integer-width edge
+cases, switches, shadowing declarations — runs each on every backend
+and test-only interpreter (``conftest.INTERPRETERS``: the source
+backend's two lowerings are also run whole) against a deterministic
+scripted bus, and asserts that *everything observable* is
 identical: return value or raised exception (type and message), step
 count, coverage set, printk log, the exact port-write sequence and the
 virtual clock.  A second tier replays seeded samples of real campaign
-mutants from the bundled drivers through whole boots.
+mutants from the bundled drivers through whole boots; one of them
+compiles its mutants through the campaign compile cache, so the source
+backend's mixed table (fresh loop-free functions closure-lowered, the
+rest emitted) is compared on real variants.
 
 The fast slice runs in tier-1; the ``slow``-marked sweeps push the
 generated-program and mutant counts past the hundreds.
@@ -25,7 +30,7 @@ import random
 
 import pytest
 
-from conftest import ALL_BACKENDS, FAST_BACKENDS, assert_boot_equivalent
+from conftest import FAST_INTERPRETERS, INTERPRETERS, assert_boot_equivalent
 from repro.diagnostics import CompileError
 from repro.drivers import (
     BUSMOUSE_CDEVIL_SOURCE,
@@ -37,6 +42,7 @@ from repro.drivers import (
 from repro.hw import IOBus, LogitechBusmouse, standard_pc
 from repro.minic import SourceFile, compile_program
 from repro.minic.compile import interpreter_for
+from repro.minic.incremental import CampaignCompiler
 from repro.mutation.generator import enumerate_c_mutants
 from repro.mutation.runner import build_c_pools
 from repro.mutation.sampling import sample_mutants
@@ -81,7 +87,7 @@ def assert_generated_equivalent(
             f"{error.diagnostics}\n{source}"
         ) from error
     reference = run_once(program, "tree", seed, step_budget, bus_factory)
-    for backend in FAST_BACKENDS:
+    for backend in FAST_INTERPRETERS:
         observed = run_once(program, backend, seed, step_budget, bus_factory)
         assert observed == reference, (
             f"backend {backend!r} diverged on generated program "
@@ -169,25 +175,35 @@ def _mutant_views(assemble, fraction, seed, **assemble_kwargs):
     return source, driver, registry, mutants
 
 
-def _assert_mutants_equivalent(source, driver, registry, mutants):
+def _assert_mutants_equivalent(
+    source, driver, registry, mutants, compile_cache=False
+):
     assert mutants
+    compiler = CampaignCompiler(driver, source, registry) if compile_cache else None
     for mutant in mutants:
         mutated = mutant.apply(source)
         try:
-            program = compile_program([SourceFile(driver, mutated)], registry)
+            if compiler is not None:
+                program = compiler.compile_variant(mutated)
+            else:
+                program = compile_program(
+                    [SourceFile(driver, mutated)], registry
+                )
         except CompileError:
             continue  # compile gate is backend-independent
         assert_boot_equivalent(
             program,
-            backends=ALL_BACKENDS,
+            backends=INTERPRETERS,
             machine_factory=lambda: standard_pc(with_busmouse=False),
             step_budget=300_000,
         )
 
 
 def test_c_driver_mutants_equivalent_fast():
+    """Variants from the compile cache: fresh functions, shared rest."""
     _assert_mutants_equivalent(
-        *_mutant_views(assemble_c_program, fraction=0.01, seed=101)
+        *_mutant_views(assemble_c_program, fraction=0.01, seed=101),
+        compile_cache=True,
     )
 
 
@@ -222,7 +238,7 @@ def test_busmouse_cdevil_driver_equivalent():
         include_registry={BUSMOUSE_HEADER_NAME: busmouse_stub_header()},
     )
     views = {}
-    for backend in ALL_BACKENDS:
+    for backend in INTERPRETERS:
         bus = IOBus()
         mouse = LogitechBusmouse()
         bus.attach(mouse)
@@ -234,5 +250,5 @@ def test_busmouse_cdevil_driver_equivalent():
             probe, state, interp.steps, frozenset(interp.coverage),
             tuple(interp.log),
         )
-    assert views["closure"] == views["tree"]
-    assert views["source"] == views["tree"]
+    for backend in FAST_INTERPRETERS:
+        assert views[backend] == views["tree"], backend

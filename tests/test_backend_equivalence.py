@@ -1,24 +1,25 @@
-"""Backend equivalence: compiled mini-C backends vs the reference walker.
+"""Backend equivalence: the compiled mini-C backend vs the reference walker.
 
-The closure backend (`repro.minic.compile`) and the source-emitting
-backend (`repro.minic.codegen`) must be observably identical to the
-tree-walking interpreter — same outcomes, same step counts, same
-coverage sets, same fault details — or campaign classifications would
-silently drift.  These tests assert that equivalence on whole driver
-boots and on a seeded sample of real campaign mutants, for every
-registered backend (see ``conftest.assert_boot_equivalent``).
+The source backend (`repro.minic.codegen`) and closure lowering
+(`repro.minic.compile`), which it uses for some functions, must be
+observably identical to the tree-walking interpreter — same outcomes,
+same step counts, same coverage sets, same fault details — or campaign
+classifications would silently drift.  These tests assert that
+equivalence on whole driver boots and on a seeded sample of real
+campaign mutants, for the backends and the test-only interpreters (see
+``conftest.assert_boot_equivalent``).
 """
 
 import pytest
 
-from conftest import ALL_BACKENDS, FAST_BACKENDS, assert_boot_equivalent
+from conftest import FAST_INTERPRETERS, INTERPRETERS, assert_boot_equivalent
 from repro.diagnostics import CompileError
 from repro.drivers import assemble_c_program, assemble_cdevil_program
 from repro.hw import standard_pc
 from repro.kernel.kernel import boot
 from repro.minic import Interpreter, SourceFile, compile_program
 from repro.minic.codegen import SourceInterpreter
-from repro.minic.compile import ClosureInterpreter, interpreter_for
+from repro.minic.compile import interpreter_for
 from repro.mutation.generator import enumerate_c_mutants
 from repro.mutation.runner import build_c_pools
 from repro.mutation.sampling import sample_mutants
@@ -28,19 +29,20 @@ from repro.mutation.sampling import sample_mutants
 def test_clean_boot_identical_across_all_backends(assemble):
     files, registry = assemble()
     program = compile_program(files, registry)
-    reference = assert_boot_equivalent(program, backends=ALL_BACKENDS)
+    reference = assert_boot_equivalent(program, backends=INTERPRETERS)
     assert reference.outcome.value == "boot"
 
 
+@pytest.mark.backends_only
 def test_interpreter_for_selects_backends():
     assert interpreter_for("tree") is Interpreter
-    assert interpreter_for("closure") is ClosureInterpreter
     assert interpreter_for("source") is SourceInterpreter
-    with pytest.raises(ValueError):
-        interpreter_for("jit")
+    for retired in ("closure", "hybrid", "bogus"):
+        with pytest.raises(ValueError, match="available: tree, source"):
+            interpreter_for(retired)
 
 
-@pytest.mark.parametrize("fast", FAST_BACKENDS)
+@pytest.mark.parametrize("fast", FAST_INTERPRETERS)
 def test_direct_call_results_and_steps_match(fast):
     program = compile_program(
         [
@@ -66,7 +68,7 @@ def test_direct_call_results_and_steps_match(fast):
     assert other.steps == tree.steps
 
 
-@pytest.mark.parametrize("fast", FAST_BACKENDS)
+@pytest.mark.parametrize("fast", FAST_INTERPRETERS)
 def test_global_initializer_calling_a_function_constructs(fast):
     """Global initialisers run during construction and may call
     functions; those calls dispatch through ``_call_function`` into the
@@ -87,7 +89,7 @@ def test_global_initializer_calling_a_function_constructs(fast):
     assert other.steps == tree.steps
 
 
-@pytest.mark.parametrize("fast", FAST_BACKENDS)
+@pytest.mark.parametrize("fast", FAST_INTERPRETERS)
 def test_step_budget_exhaustion_is_identical(fast):
     program = compile_program(
         [SourceFile("t.c", "int f(void) { while (1) { ; } return 0; }")]
@@ -124,7 +126,7 @@ def _assert_sample_identical(source, driver, registry, mutants):
             continue  # the compile gate does not involve a backend
         assert_boot_equivalent(
             program,
-            backends=ALL_BACKENDS,
+            backends=INTERPRETERS,
             machine_factory=lambda: standard_pc(with_busmouse=False),
             step_budget=300_000,
         )

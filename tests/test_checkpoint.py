@@ -9,15 +9,16 @@ Three layers of assurance, mirroring the subsystem's layering:
   (any backend pair) is indistinguishable from one uninterrupted run;
 * checkpointed boots and whole checkpointed campaigns are bit-identical
   to cold boots: every clean-boot checkpoint resumes to the clean
-  report, and ``run_driver_campaign(..., boot_checkpoint=True)``
-  reproduces the cold campaign mutant-for-mutant on every backend.
+  report, and ``run_driver_campaign`` (checkpointed by default)
+  reproduces the ``boot_checkpoint=False`` campaign mutant-for-mutant
+  on every backend.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from conftest import ALL_BACKENDS, boot_report_view
+from conftest import INTERPRETERS, boot_report_view
 from test_backend_differential import ProgramGen, ScriptedBus
 
 from repro.diagnostics import CompileError
@@ -25,13 +26,11 @@ from repro.drivers import assemble_c_program
 from repro.hw import standard_pc
 from repro.hw.diskimage import SECTOR_SIZE, DiskImage
 from repro.kernel.checkpoint import (
-    CHECKPOINT_ENV,
-    GRANULARITY_ENV,
     _RecordingCoverage,
     _RecordingInterpreter,
     changed_lines_of,
+    check_granularity,
     checkpoint_for_mutant,
-    granularity_from_env,
     record_plan,
     resume_boot,
 )
@@ -159,21 +158,21 @@ def _driver_program():
     return compile_program(files, registry), files[0]
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("backend", INTERPRETERS)
 def test_resume_clean_boot_from_every_checkpoint(backend):
+    """Every driver-call boundary resumes to the clean report (sub-call
+    checkpoints: `test_subcall_resume`)."""
     program, _ = _driver_program()
     cold = boot_report_view(
         boot(program, standard_pc(with_busmouse=False), backend=backend)
     )
     plan = record_plan(
-        program,
-        standard_pc(with_busmouse=False),
-        DEFAULT_STEP_BUDGET,
-        backend=backend,
+        program, standard_pc(with_busmouse=False), DEFAULT_STEP_BUDGET
     )
     assert boot_report_view(plan.report) == cold
-    assert len(plan.checkpoints) == 20  # init + 2 + 16 file reads + writeback
-    for checkpoint in plan.checkpoints:
+    boundaries = [c for c in plan.checkpoints if not c.subcall]
+    assert len(boundaries) == 20  # init + 2 + 16 file reads + writeback
+    for checkpoint in boundaries:
         resumed = resume_boot(
             program,
             checkpoint,
@@ -198,21 +197,23 @@ def test_first_execution_map_and_divergence_rules():
         assert len(matches) == 1, fragment
         return (driver.name, matches[0])
 
+    boundaries = [c for c in plan.checkpoints if not c.subcall]
     # ide_write's body first executes at the final driver call; its steps
     # skip nearly the whole clean boot.
     outsw_line = line_of("outsw(HD_DATA, buf, HD_WORDS);")
-    assert plan.first_call[outsw_line] == len(plan.checkpoints) - 1
     assert plan.first_step[outsw_line] > plan.clean_steps * 0.9
-    # A macro used only on the write path inherits the same divergence
-    # bound through statement origins.
-    assert plan.first_call[line_of("#define WIN_WRITE")] == (
-        len(plan.checkpoints) - 1
-    )
+    # A macro used only on the write path inherits a divergence bound
+    # in the same call through statement origins.
+    win_write = line_of("#define WIN_WRITE")
+    assert boundaries[-1].steps < plan.first_step[win_write]
+    assert plan.first_step[win_write] < plan.first_step[outsw_line]
     # The polling helpers run during ide_init (call 0).
-    assert plan.first_call[line_of("if (s & STAT_DRQ)")] == 0
-    # The global declaration executes during construction...
+    drq_line = line_of("if (s & STAT_DRQ)")
+    assert plan.first_step[drq_line] < boundaries[1].steps
+    # The global declaration executes during construction, no later
+    # than the first checkpoint ...
     hd_sectors_line = line_of("static u32 hd_sectors;")
-    assert plan.first_call[hd_sectors_line] == -1
+    assert plan.first_step[hd_sectors_line] <= plan.checkpoints[0].steps
     # ... and is barred from resumption twice over (also a decl line).
     assert hd_sectors_line in plan.unsafe_lines
 
@@ -220,18 +221,18 @@ def test_first_execution_map_and_divergence_rules():
         file, line = outsw_line
         original = "outsw"
 
-    # Write-path mutants resume from the deepest checkpoint; construction
-    # and call-0 lines cold-boot.
+    # Write-path mutants resume from the last call boundary; call-0
+    # lines resume inside call 0; construction lines cold-boot.
     checkpoint = checkpoint_for_mutant(
         plan, changed_lines_of(_Site, "insw")
     )
-    assert checkpoint is plan.checkpoints[-1]
+    assert checkpoint is boundaries[-1]
+    assert checkpoint_for_mutant(plan, (drq_line,)).call_index == 0
     assert checkpoint_for_mutant(plan, (hd_sectors_line,)) is None
-    assert checkpoint_for_mutant(plan, (line_of("if (s & STAT_DRQ)"),)) is None
     assert checkpoint_for_mutant(plan, ((driver.name, 99999),)) is None
 
 
-# -- sub-call granularity ------------------------------------------------------
+# -- sub-call checkpoints ------------------------------------------------------
 
 #: IDE_C_SOURCE plus constructs exercising every documented fallback:
 #: an alias macro whose line never reaches statement origins (its whole
@@ -283,7 +284,6 @@ def test_subcall_plan_resumes_call0_lines():
         program,
         standard_pc(with_busmouse=False),
         DEFAULT_STEP_BUDGET,
-        granularity="subcall",
     )
     line = _line_of(driver.text, driver.name, "if (s & STAT_DRQ)")
     checkpoint = checkpoint_for_mutant(plan, (line,))
@@ -315,13 +315,12 @@ def test_subcall_plan_resumes_call0_lines():
 
 
 def test_subcall_fallbacks_regression_pinned():
-    """Finer granularity must not resume any documented-unsound case."""
+    """Sub-call checkpoints must not resume any documented-unsound case."""
     program, driver = _fallback_driver()
     plan = record_plan(
         program,
         standard_pc(with_busmouse=False),
         DEFAULT_STEP_BUDGET,
-        granularity="subcall",
     )
     assert plan.report.outcome is BootOutcome.BOOT
 
@@ -392,7 +391,7 @@ int pick(int selector)
     # Both label lines anchor to the same dispatch step ...
     assert anchors[case1] == anchors[case2]
     # ... which strictly precedes the selected group's first coverage.
-    assert anchors[case2] < recorder.first_seen[case2][0]
+    assert anchors[case2] < recorder.first_seen[case2]
     # The unselected group never entered coverage at all (its mutants
     # fall back through the dead-code rule).
     assert case1 not in recorder.first_seen
@@ -423,7 +422,6 @@ def test_no_subcall_checkpoint_during_global_initialisers():
         program,
         standard_pc(with_busmouse=False),
         DEFAULT_STEP_BUDGET,
-        granularity="subcall",
     )
     assert plan.report.outcome is BootOutcome.BOOT
     # The first recorded checkpoint is the call-0 boundary (after the
@@ -443,14 +441,6 @@ def test_no_subcall_checkpoint_during_global_initialisers():
         DEFAULT_STEP_BUDGET,
     )
     assert boot_report_view(resumed) == boot_report_view(cold)
-
-
-def test_stale_granularity_env_ignored_without_checkpointing(monkeypatch):
-    monkeypatch.setenv(GRANULARITY_ENV, "bogus")
-    campaign = run_driver_campaign(
-        "c", fraction=0.01, seed=7, boot_checkpoint=False
-    )
-    assert campaign.checkpoint_stats is None
 
 
 @pytest.mark.parametrize("path", ["serial", "workers", "engine"])
@@ -495,64 +485,41 @@ def test_unknown_granularity_is_refused_up_front(kind, path, monkeypatch):
             )
 
 
-def test_call_granularity_bars_switch_label_lines():
-    """A call plan has no dispatch-step anchors, and a re-executed
-    switch can be redirected by a label mutant in an *earlier* call than
-    the label's first coverage — so label lines must cold-boot there."""
+def test_switch_label_mutants_resume_before_their_dispatch():
+    """A re-executed switch can be redirected by a label mutant before
+    the label's first coverage; the recorded dispatch-step anchors must
+    bound every label line's checkpoint."""
     from repro.drivers import assemble_cdevil_program
 
     files, registry = assemble_cdevil_program()
     program = compile_program(files, registry)
     plan = record_plan(
-        program,
-        standard_pc(with_busmouse=False),
-        DEFAULT_STEP_BUDGET,
-        granularity="call",
+        program, standard_pc(with_busmouse=False), DEFAULT_STEP_BUDGET
     )
-    covered_labels = [
-        line
-        for line in plan.switch_label_lines
-        if plan.first_call.get(line, -1) >= 1
-        and line not in plan.unsafe_lines
-    ]
-    assert covered_labels, "cdevil driver has switch labels covered after call 0"
-    for line in covered_labels:
-        assert checkpoint_for_mutant(plan, (line,)) is None
-    # The sub-call plan resumes the same lines, bounded by its recorded
-    # dispatch-step anchors instead.
-    subcall_plan = record_plan(
-        program,
-        standard_pc(with_busmouse=False),
-        DEFAULT_STEP_BUDGET,
-        granularity="subcall",
-    )
-    for line in covered_labels:
-        checkpoint = checkpoint_for_mutant(subcall_plan, (line,))
-        if checkpoint is not None:
-            anchor = subcall_plan.divergence_anchors.get(line)
-            bound = subcall_plan.first_step[line]
-            if anchor is not None:
-                bound = min(bound, anchor)
-            assert checkpoint.steps < bound
+    resumed = 0
+    for line, anchor in plan.divergence_anchors.items():
+        if line in plan.unsafe_lines:
+            continue
+        checkpoint = checkpoint_for_mutant(plan, (line,))
+        if checkpoint is None:
+            continue
+        resumed += 1
+        bound = min(anchor, plan.first_step.get(line, anchor))
+        assert checkpoint.steps < bound
+    assert resumed, "cdevil driver has resumable switch label lines"
 
 
-def test_granularity_knobs_and_env(monkeypatch):
-    monkeypatch.delenv(GRANULARITY_ENV, raising=False)
-    assert granularity_from_env() == "subcall"
-    monkeypatch.setenv(GRANULARITY_ENV, "call")
-    assert granularity_from_env() == "call"
-    monkeypatch.setenv(GRANULARITY_ENV, "bogus")
-    with pytest.raises(ValueError):
-        granularity_from_env()
-    with pytest.raises(ValueError):
-        record_plan(None, None, 0, granularity="bogus")
+def test_subcall_throttle_and_granularity_knob():
+    for other in ("call", "bogus", None):
+        with pytest.raises(ValueError):
+            check_granularity(other)
+    check_granularity("subcall")
     # The snapshot throttle bounds intra-call checkpoints per call.
     program, _ = _driver_program()
     plan = record_plan(
         program,
         standard_pc(with_busmouse=False),
         DEFAULT_STEP_BUDGET,
-        granularity="subcall",
         subcall_interval=1_000_000,
         subcall_limit=2,
     )
@@ -570,7 +537,7 @@ def test_granularity_knobs_and_env(monkeypatch):
 # -- kernel classification fixes ----------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("backend", INTERPRETERS)
 def test_global_initializer_fault_is_classified(backend):
     """A faulting global initialiser classifies instead of crashing the
     harness (the historical handler referenced an unbound ``interp``)."""
@@ -595,10 +562,10 @@ def _campaign_view(campaign):
 @pytest.mark.parametrize("backend", ("source", "closure"))
 def test_checkpointed_campaign_identical_c(backend):
     cold = run_driver_campaign(
-        "c", fraction=0.02, seed=99, backend=backend
+        "c", fraction=0.02, seed=99, backend=backend, boot_checkpoint=False
     )
     checkpointed = run_driver_campaign(
-        "c", fraction=0.02, seed=99, backend=backend, boot_checkpoint=True
+        "c", fraction=0.02, seed=99, backend=backend
     )
     assert _campaign_view(checkpointed) == _campaign_view(cold)
     stats = checkpointed.checkpoint_stats
@@ -607,70 +574,35 @@ def test_checkpointed_campaign_identical_c(backend):
 
 
 def test_checkpointed_campaign_identical_cdevil():
-    cold = run_driver_campaign("cdevil", fraction=0.01, seed=99)
-    checkpointed = run_driver_campaign(
-        "cdevil", fraction=0.01, seed=99, boot_checkpoint=True
+    cold = run_driver_campaign(
+        "cdevil", fraction=0.01, seed=99, boot_checkpoint=False
     )
+    checkpointed = run_driver_campaign("cdevil", fraction=0.01, seed=99)
     assert _campaign_view(checkpointed) == _campaign_view(cold)
 
 
 def test_checkpointed_campaign_parallel_equals_serial():
-    serial = run_driver_campaign(
-        "c", fraction=0.01, seed=7, boot_checkpoint=True
-    )
-    parallel = run_driver_campaign(
-        "c", fraction=0.01, seed=7, boot_checkpoint=True, workers=2
-    )
+    serial = run_driver_campaign("c", fraction=0.01, seed=7)
+    parallel = run_driver_campaign("c", fraction=0.01, seed=7, workers=2)
     assert _campaign_view(serial) == _campaign_view(parallel)
 
 
 def test_checkpoint_stats_parallel_equals_serial():
     """Per-worker stats dicts must merge to the serial counters exactly
     (the workers>1 path used to drop them entirely)."""
-    serial = run_driver_campaign(
-        "c", fraction=0.02, seed=99, boot_checkpoint=True,
-        checkpoint_granularity="subcall",
-    )
-    parallel = run_driver_campaign(
-        "c", fraction=0.02, seed=99, boot_checkpoint=True, workers=4,
-        checkpoint_granularity="subcall",
-    )
+    serial = run_driver_campaign("c", fraction=0.02, seed=99)
+    parallel = run_driver_campaign("c", fraction=0.02, seed=99, workers=4)
     assert _campaign_view(parallel) == _campaign_view(serial)
-    assert serial.checkpoint_stats is not None
-    assert parallel.checkpoint_stats == serial.checkpoint_stats
-    assert serial.checkpoint_stats["resumed_subcall"] > 0
+    stats = serial.checkpoint_stats
+    assert stats is not None and parallel.checkpoint_stats == stats
+    # Sub-call checkpoints resume the ide_init-covered majority too.
+    assert stats["resumed_subcall"] > 0
+    assert stats["resumed"] / (stats["resumed"] + stats["cold"]) >= 0.7
     # Without checkpointing, neither path reports stats.
     plain = run_driver_campaign(
         "c", fraction=0.01, seed=7, workers=2, boot_checkpoint=False
     )
     assert plain.checkpoint_stats is None
-
-
-def test_subcall_granularity_resumes_more_than_call():
-    call = run_driver_campaign(
-        "c", fraction=0.02, seed=99, boot_checkpoint=True,
-        checkpoint_granularity="call",
-    )
-    sub = run_driver_campaign(
-        "c", fraction=0.02, seed=99, boot_checkpoint=True,
-        checkpoint_granularity="subcall",
-    )
-    assert _campaign_view(sub) == _campaign_view(call)
-    assert call.checkpoint_stats["resumed_subcall"] == 0
-    assert sub.checkpoint_stats["resumed_subcall"] > 0
-    assert sub.checkpoint_stats["resumed"] > call.checkpoint_stats["resumed"]
-    assert sub.checkpoint_stats["cold"] < call.checkpoint_stats["cold"]
-    boots = sub.checkpoint_stats["resumed"] + sub.checkpoint_stats["cold"]
-    assert sub.checkpoint_stats["resumed"] / boots >= 0.7
-
-
-def test_checkpointing_env_switch(monkeypatch):
-    monkeypatch.setenv(CHECKPOINT_ENV, "1")
-    campaign = run_driver_campaign("c", fraction=0.01, seed=7)
-    assert campaign.checkpoint_stats is not None
-    monkeypatch.setenv(CHECKPOINT_ENV, "0")
-    campaign = run_driver_campaign("c", fraction=0.01, seed=7)
-    assert campaign.checkpoint_stats is None
 
 
 @pytest.mark.slow
@@ -684,8 +616,8 @@ def test_checkpointing_env_switch(monkeypatch):
     ),
 )
 def test_checkpointed_campaign_identical_deep(driver, kwargs):
-    cold = run_driver_campaign(driver, fraction=0.05, seed=4136, **kwargs)
-    checkpointed = run_driver_campaign(
-        driver, fraction=0.05, seed=4136, boot_checkpoint=True, **kwargs
+    cold = run_driver_campaign(
+        driver, fraction=0.05, seed=4136, boot_checkpoint=False, **kwargs
     )
+    checkpointed = run_driver_campaign(driver, fraction=0.05, seed=4136, **kwargs)
     assert _campaign_view(checkpointed) == _campaign_view(cold)

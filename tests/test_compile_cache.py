@@ -18,7 +18,7 @@ and that sharing never leaks a variant's types into the baseline.
 
 import pytest
 
-from conftest import ALL_BACKENDS, boot_report_view
+from conftest import INTERPRETERS, boot_report_view
 
 from repro.diagnostics import CompileError
 from repro.drivers import assemble_c_program, assemble_cdevil_program
@@ -29,11 +29,14 @@ from repro.kernel.checkpoint import (
     resume_boot,
 )
 from repro.kernel.kernel import DEFAULT_STEP_BUDGET, boot
-from repro.minic import ast
+from repro.kernel.outcomes import BootOutcome
+from repro.minic import ast, codegen
+from repro.minic.compile import _Lowerer
 from repro.minic.incremental import CampaignCompiler
 from repro.minic.program import SourceFile, compile_program
 from repro.mutation.generator import enumerate_c_mutants
-from repro.mutation.runner import build_c_pools
+from repro.mutation.model import Mutant, MutationSite
+from repro.mutation.runner import MutantTarget, build_c_pools, prepare_campaign
 from repro.mutation.sampling import sample_mutants
 from repro.mutation.tagging import Region
 from repro.scenarios.corpus import PROFILE_ORDER, build_scenario
@@ -293,23 +296,21 @@ def _nodes(node):
 def test_interleaved_variants_share_resume_lowerings_safely():
     """Edit A, the baseline, edit B: identical boots on every backend.
 
-    The hybrid checkpointed resumes run the shared statements after the
-    edit through lowerings cached on those (shared) nodes.
+    The checkpointed resumes run the shared statements after the edit
+    through lowerings cached on those (shared) nodes.
     """
     source, driver, registry, compiler = _fresh_c_compiler()
     plan = record_plan(
         compiler.baseline_program,
         standard_pc(with_busmouse=False),
         DEFAULT_STEP_BUDGET,
-        backend="hybrid",
-        granularity="subcall",
     )
     # Both in ``ide_read``, whose mutants resume inside the call.
     edit_a = _edit_line(source, "insw(HD_DATA, buf, HD_WORDS);", "HD_WORDS", "128")
     edit_b = _edit_line(source, "hd_out(0, 1, lba, WIN_READ);", "WIN_READ", "WIN_VERIFY")
     resumed_midcall = 0
     for text, line in (edit_a, (source, None), edit_b) * 2:
-        for backend in ALL_BACKENDS:
+        for backend in INTERPRETERS:
             _compare(compiler, driver, registry, text, backend)
         if line is None:
             continue
@@ -326,7 +327,6 @@ def test_interleaved_variants_share_resume_lowerings_safely():
             checkpoint,
             standard_pc(with_busmouse=False),
             DEFAULT_STEP_BUDGET,
-            backend="hybrid",
         )
         assert boot_report_view(resumed) == boot_report_view(cold)
     assert resumed_midcall
@@ -335,6 +335,56 @@ def test_interleaved_variants_share_resume_lowerings_safely():
     shared_return = _function(compiler.baseline_program.unit, "ide_read").body.statements[-1]
     assert getattr(shared_return, "_resume_lowered", None) is not None
     _assert_baseline_pristine(compiler, driver, registry, source)
+
+
+def _literal_mutant(setup, needle, old, new):
+    """The mutant rewriting literal ``old`` inside ``needle`` to ``new``."""
+    source = setup.source
+    offset = source.index(needle) + needle.index(old)
+    line = source.count("\n", 0, offset) + 1
+    column = offset - source.rfind("\n", 0, offset)
+    site = MutationSite(
+        setup.driver_filename, line, column, offset, len(old), old, "literal"
+    )
+    return Mutant(site, new)
+
+
+def test_checkpointed_variant_compiles_only_its_own_function(monkeypatch):
+    """After one variant has run, the next emits no baseline function.
+
+    A variant's table closure-lowers a declaration only when the compile
+    cache re-parsed it for that variant and it has no loop; every other
+    function is source-emitted once and its code is shared through the
+    declaration node.  So once a clean variant has booted, a second one
+    editing a different, loop-free function lowers that function alone
+    and calls every baseline function through cached emissions.
+    """
+    setup = prepare_campaign("c")
+    target = MutantTarget(setup, backend="source")
+    target.warm()
+    # ``hd_reset`` runs first in the boot: a variant resumed before it
+    # calls every function the clean boot calls.
+    first = _literal_mutant(setup, "udelay(10);", "10", "11")
+    second = _literal_mutant(setup, "lba >> 8", "8", "9")  # in hd_out
+    row, _ = target.evaluate(first)
+    assert row.outcome is BootOutcome.BOOT
+
+    counts = {"lowered": [], "compiled": 0}
+    lower_function = _Lowerer._lower_function
+
+    def counting_lower(self, decl):
+        counts["lowered"].append(decl.name)
+        return lower_function(self, decl)
+
+    def counting_compile(*args, **kwargs):
+        counts["compiled"] += 1
+        return compile(*args, **kwargs)
+
+    monkeypatch.setattr(_Lowerer, "_lower_function", counting_lower)
+    monkeypatch.setattr(codegen, "compile", counting_compile, raising=False)
+    _, stats = target.evaluate(second)
+    assert stats["resumed_subcall"] == 1
+    assert counts == {"lowered": ["hd_out"], "compiled": 0}
 
 
 def test_table3_sample_splices_to_identical_asts(c_setup):

@@ -54,7 +54,6 @@ def containers(tmp_path_factory):
         compile_program(files, registry),
         standard_pc(with_busmouse=False),
         DEFAULT_STEP_BUDGET,
-        granularity="subcall",
     )
     plan_path = root / "plan.ckpt"
     save_plan(plan, plan_path, files[0].text, files[0].name)

@@ -39,11 +39,13 @@ from repro.engine.state import (
 from repro.experiments import table3, table4
 from repro.hw.machine import standard_pc
 from repro.kernel.checkpoint import (
+    PLAN_KIND,
     PlanError,
     load_plan,
     read_plan_header,
     record_plan,
     save_plan,
+    source_digest,
 )
 from repro.kernel.kernel import DEFAULT_STEP_BUDGET
 from repro.minic.interp import Interpreter
@@ -61,26 +63,18 @@ from repro.serialize import (
     write_container,
 )
 
-from conftest import ALL_BACKENDS
+from conftest import INTERPRETERS
 
 FRACTION = 0.02
 SEED = 4136
 
-#: One small request per campaign kind, checkpoint knobs pinned so the
-#: environment-override CI jobs compare like with like.
+#: One small request per campaign kind, in the default configuration.
 REQUESTS = {
-    "driver-c": CampaignRequest(
-        driver="c", fraction=0.01, seed=SEED, boot_checkpoint=True,
-        granularity="subcall",
-    ),
+    "driver-c": CampaignRequest(driver="c", fraction=0.01, seed=SEED),
     "scenario": ScenarioRequest(
-        scenario_id="polling-000", fraction=0.1, seed=7,
-        boot_checkpoint=True, granularity="subcall",
+        scenario_id="polling-000", fraction=0.1, seed=7
     ),
-    "fault": FaultRequest(
-        driver="c", seed=20010, per_dimension=2, injection="checkpoint",
-        granularity="subcall",
-    ),
+    "fault": FaultRequest(driver="c", seed=20010, per_dimension=2),
     "spec": SpecRequest(
         spec_name="logitech_busmouse", fraction=0.1, seed=SEED
     ),
@@ -171,26 +165,19 @@ def test_run_shard_checks_coordinates_before_set_up(monkeypatch):
 # -- portable checkpoint plans ------------------------------------------------
 
 
-@pytest.mark.parametrize("granularity", ["call", "subcall"])
-def test_plan_save_load_byte_stable(tmp_path, c_setup, granularity):
+def test_plan_save_load_byte_stable(tmp_path, c_setup):
     program = compile_program(c_setup.files, c_setup.registry)
     plan = record_plan(
-        program,
-        standard_pc(with_busmouse=False),
-        DEFAULT_STEP_BUDGET,
-        granularity=granularity,
+        program, standard_pc(with_busmouse=False), DEFAULT_STEP_BUDGET
     )
     first = tmp_path / "a.ckpt"
     second = tmp_path / "b.ckpt"
     header = save_plan(plan, first, c_setup.source, c_setup.driver_filename)
     assert read_plan_header(first) == header
-    assert header["granularity"] == granularity
 
-    loaded = load_plan(first, source=c_setup.source, granularity=granularity)
+    loaded = load_plan(first, source=c_setup.source)
     assert loaded.first_step == plan.first_step
-    assert loaded.first_call == plan.first_call
     assert loaded.unsafe_lines == plan.unsafe_lines
-    assert loaded.switch_label_lines == plan.switch_label_lines
     assert loaded.divergence_anchors == plan.divergence_anchors
     assert len(loaded.checkpoints) == len(plan.checkpoints)
     assert loaded.stats == {
@@ -206,17 +193,12 @@ def test_plan_save_load_byte_stable(tmp_path, c_setup, granularity):
 def test_plan_fingerprint_mismatches_raise(tmp_path, c_setup):
     program = compile_program(c_setup.files, c_setup.registry)
     plan = record_plan(
-        program,
-        standard_pc(with_busmouse=False),
-        DEFAULT_STEP_BUDGET,
-        granularity="subcall",
+        program, standard_pc(with_busmouse=False), DEFAULT_STEP_BUDGET
     )
     path = tmp_path / "plan.ckpt"
     save_plan(plan, path, c_setup.source, c_setup.driver_filename)
     with pytest.raises(PlanError, match="source_sha256"):
         load_plan(path, source=c_setup.source + "\n// drifted")
-    with pytest.raises(PlanError, match="granularity"):
-        load_plan(path, granularity="call")
     with pytest.raises(PlanError, match="driver_filename"):
         load_plan(path, driver_filename="other.c")
     with pytest.raises(PlanError, match="step_budget"):
@@ -225,18 +207,31 @@ def test_plan_fingerprint_mismatches_raise(tmp_path, c_setup):
         read_header(path, kind="shard-result")
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_format_1_call_plan_file_is_refused(tmp_path, c_setup):
+    """Plans recorded at the retired ``call`` granularity cannot load."""
+    path = tmp_path / "call.ckpt"
+    header = {
+        "driver_filename": c_setup.driver_filename,
+        "source_sha256": source_digest(c_setup.source),
+        "granularity": "call",
+        "step_budget": DEFAULT_STEP_BUDGET,
+        "plan_format": 1,
+    }
+    write_container(path, PLAN_KIND, header, {})
+    for reader in (read_plan_header, load_plan):
+        with pytest.raises(PlanError, match="format 1 is not supported"):
+            reader(path)
+
+
+@pytest.mark.parametrize("backend", INTERPRETERS)
 def test_campaign_from_plan_file_equals_in_process_plan(tmp_path, backend):
-    """Loaded plans drive campaigns bit-identically on every backend; the
-    plan file alone turns checkpointing on."""
+    """Loaded plans drive campaigns bit-identically on every backend."""
     request = CampaignRequest(
         driver="c", fraction=0.01, seed=SEED, backend=backend
     )
-    plan_path = _record_plan(
-        tmp_path, replace(request, boot_checkpoint=True)
-    )
+    plan_path = _record_plan(tmp_path, request)
     from_file = merge_shard_results([run_shard(request, 0, 1, plan_path)])
-    in_process = run_request(replace(request, boot_checkpoint=True))
+    in_process = run_request(request)
     assert from_file == in_process
     assert from_file.checkpoint_stats is not None
 
@@ -279,9 +274,7 @@ def test_every_kind_merges_to_run_request(kind):
 def test_any_shard_count_and_ordering_merges_to_serial(
     tmp_path, serial_checkpointed, shard_count
 ):
-    request = CampaignRequest(
-        driver="c", fraction=FRACTION, seed=SEED, boot_checkpoint=True
-    )
+    request = CampaignRequest(driver="c", fraction=FRACTION, seed=SEED)
     shards = _shards(request, shard_count, _record_plan(tmp_path, request))
     orderings = _orderings(shard_count)
     for order in orderings:
@@ -302,9 +295,8 @@ def test_any_shard_count_and_ordering_merges_to_serial(
 
 
 def test_cdevil_shards_merge_to_serial():
-    # boot_checkpoint pinned on both sides so the REPRO_BOOT_CHECKPOINT
-    # CI job compares like with like (outcomes are identical either
-    # way; checkpoint_stats presence is not).
+    # Cold boots on both sides: a campaign that turned checkpointing off
+    # stays off on every shard host (no checkpoint_stats anywhere).
     serial = run_driver_campaign(
         "cdevil", fraction=FRACTION, seed=SEED, boot_checkpoint=False
     )
@@ -312,38 +304,6 @@ def test_cdevil_shards_merge_to_serial():
         driver="cdevil", fraction=FRACTION, seed=SEED, boot_checkpoint=False
     )
     _assert_shards_merge_to(request, serial)
-
-
-def test_run_shard_pins_boot_checkpoint_against_env(monkeypatch):
-    """An explicit boot_checkpoint=False beats REPRO_BOOT_CHECKPOINT, as
-    every shard host must honour the campaign's choice."""
-    from repro.kernel.checkpoint import CHECKPOINT_ENV
-
-    monkeypatch.setenv(CHECKPOINT_ENV, "1")
-    request = CampaignRequest(
-        driver="c", fraction=0.005, seed=3, boot_checkpoint=False
-    )
-    merged = merge_shard_results(_shards(request, 2))
-    assert merged.checkpoint_stats is None
-    assert merged == run_driver_campaign(
-        "c", fraction=0.005, seed=3, boot_checkpoint=False
-    )
-
-
-def test_run_shard_honours_env_granularity_pin(tmp_path, monkeypatch):
-    """An env-pinned granularity refuses a mismatching plan, like serial."""
-    from repro.kernel.checkpoint import GRANULARITY_ENV
-
-    request = CampaignRequest(
-        driver="c", fraction=0.005, seed=3, boot_checkpoint=True,
-        granularity="subcall",
-    )
-    plan_path = _record_plan(tmp_path, request)
-    monkeypatch.setenv(GRANULARITY_ENV, "call")
-    with pytest.raises(ValueError, match="re-record the plan"):
-        run_shard(
-            replace(request, granularity=None), 0, 2, plan_path=plan_path
-        )
 
 
 # -- shard files --------------------------------------------------------------
@@ -425,18 +385,18 @@ def test_mixed_campaigns_refuse_to_merge(two_shards, other_seed_shard):
         merge_shard_results([two_shards[0], spec_shard])
 
 
-def test_shards_from_different_plans_refuse_to_merge(tmp_path, monkeypatch):
-    from repro.kernel.checkpoint import GRANULARITY_ENV
-
-    # Unpinned, each shard adopts its own plan's granularity.
-    monkeypatch.delenv(GRANULARITY_ENV, raising=False)
-    request = CampaignRequest(
-        driver="c", fraction=0.005, seed=3, boot_checkpoint=True
+def test_shards_from_different_plans_refuse_to_merge(tmp_path, c_setup):
+    request = CampaignRequest(driver="c", fraction=0.005, seed=3)
+    first = _record_plan(tmp_path, request)
+    # A second valid plan for the same campaign, with other snapshots.
+    sparse = record_plan(
+        compile_program(c_setup.files, c_setup.registry),
+        standard_pc(with_busmouse=False),
+        DEFAULT_STEP_BUDGET,
+        subcall_interval=1_000_000,
     )
-    first = _record_plan(tmp_path, replace(request, granularity="subcall"))
-    second = _record_plan(
-        tmp_path, replace(request, granularity="call"), "call.ckpt"
-    )
+    second = str(tmp_path / "sparse.ckpt")
+    save_plan(sparse, second, c_setup.source, c_setup.driver_filename)
     shards = [
         run_shard(request, 0, 2, plan_path=first),
         run_shard(request, 1, 2, plan_path=second),

@@ -335,27 +335,59 @@ def test_engine_rejects_misbehaving_schedulers(leases, message):
 # -- warm-spec resolution -----------------------------------------------------
 
 
-def test_campaign_request_resolves_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_BOOT_CHECKPOINT", "1")
-    monkeypatch.setenv("REPRO_CHECKPOINT_GRANULARITY", "call")
-    spec = CampaignRequest(driver="c").warm_spec()
-    assert spec == WarmSpec(
-        kind="driver",
-        driver="c",
-        boot_checkpoint=True,
-        granularity="call",
-        granularity_pinned=True,
+def test_requests_resolve_to_one_fast_configuration():
+    """``backend=None`` is the default backend: one configuration gets
+    one warm spec, hence one warm state and one shard identity."""
+    assert (
+        CampaignRequest(backend=None).warm_spec()
+        == CampaignRequest(backend="source").warm_spec()
     )
-    monkeypatch.delenv("REPRO_BOOT_CHECKPOINT")
-    monkeypatch.delenv("REPRO_CHECKPOINT_GRANULARITY")
-    spec = CampaignRequest(driver="c").warm_spec()
-    assert not spec.boot_checkpoint
-    assert not spec.granularity_pinned
-    # Mirrors run_driver_campaign: an explicit boot_checkpoint=True with
-    # no explicit granularity still honours the environment's choice.
-    monkeypatch.setenv("REPRO_CHECKPOINT_GRANULARITY", "call")
-    spec = CampaignRequest(driver="c", boot_checkpoint=True).warm_spec()
-    assert spec.granularity == "call"
+    assert CampaignRequest(driver="c").warm_spec() == WarmSpec(
+        kind="driver", driver="c", backend="source", boot_checkpoint=True
+    )
+    with pytest.raises(ValueError, match="granularity 'call'"):
+        CampaignRequest(granularity="call").warm_spec()
+
+
+def test_retired_environment_switches_change_nothing():
+    """The backend, checkpoint and injection variables are not read."""
+    script = (
+        "from repro.engine.state import CampaignRequest, FaultRequest\n"
+        "from repro.kernel.kernel import DEFAULT_BACKEND\n"
+        "print(DEFAULT_BACKEND, CampaignRequest().warm_spec().boot_checkpoint,"
+        " FaultRequest().warm_spec().injection)\n"
+    )
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(p for p in sys.path if p),
+        REPRO_MINIC_BACKEND="tree",
+        REPRO_BOOT_CHECKPOINT="0",
+        REPRO_CHECKPOINT_GRANULARITY="call",
+        REPRO_FAULT_INJECTION="cold",
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.split() == ["source", "True", "checkpoint"]
+
+
+@pytest.mark.parametrize(
+    "module,argv",
+    [
+        ("repro.engine", ["submit", "--socket", "s"]),
+        ("repro.scenarios", ["run", "--id", "polling-000"]),
+        ("repro.distributed", ["record-plan", "--out", "p"]),
+    ],
+)
+def test_clis_accept_only_the_two_backends(module, argv, capsys):
+    import importlib
+
+    main = importlib.import_module(f"{module}.__main__").main
+    for retired in ("closure", "hybrid"):
+        with pytest.raises(SystemExit):
+            main([*argv, "--backend", retired])
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_requests_sharing_a_warm_spec_share_state():

@@ -152,11 +152,6 @@ def test_checkpoint_and_cold_injection_classify_identically(golden_campaign):
     assert golden_campaign.checkpoint_stats["steps_skipped"] > 0
 
 
-def test_call_granularity_classifies_identically(golden_campaign):
-    call = _campaign(checkpoint_granularity="call")
-    assert _result_views(call) == _result_views(golden_campaign)
-
-
 @pytest.mark.slow
 def test_workers_match_serial(golden_campaign):
     parallel = _campaign(workers=2)
@@ -187,7 +182,7 @@ def test_fault_always_fires_assertion_catches_dead_triggers(golden_campaign):
     """A trigger beyond the observed access stream must fail loudly."""
     from repro.faults.campaign import FaultContext
 
-    context = FaultContext.build("c", granularity="subcall")
+    context = FaultContext.build("c")
     context.ensure()
     ghost = Fault(
         dimension="read-bit-flip",
@@ -203,7 +198,7 @@ def test_fault_always_fires_assertion_catches_dead_triggers(golden_campaign):
 def test_checkpoint_for_fault_picks_deepest_preceding(golden_campaign):
     from repro.faults.campaign import FaultContext
 
-    context = FaultContext.build("c", granularity="subcall")
+    context = FaultContext.build("c")
     context.ensure()
     plan = context._plan
     fault = Fault(
@@ -246,14 +241,13 @@ def test_markdown_render_smoke(golden_campaign):
     assert "C vs C/Devil" in comparison
 
 
-def test_injection_env_validation(monkeypatch):
-    from repro.faults.campaign import INJECTION_ENV, injection_from_env
+def test_unknown_injection_or_granularity_is_refused():
+    from repro.faults.campaign import FaultContext
 
-    monkeypatch.setenv(INJECTION_ENV, "sideways")
     with pytest.raises(ValueError, match="unknown fault injection"):
-        injection_from_env()
-    monkeypatch.setenv(INJECTION_ENV, "cold")
-    assert injection_from_env() == "cold"
+        FaultContext.build("c", injection="sideways")
+    with pytest.raises(ValueError, match="unknown checkpoint granularity"):
+        run_fault_campaign("c", per_dimension=1, checkpoint_granularity="call")
 
 
 if __name__ == "__main__":

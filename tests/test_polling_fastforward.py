@@ -8,7 +8,8 @@ the same value again and leave its device unchanged
 
 * *identity* — the budget-bound mutants of the benchmark's driver-c
   sample, plus ``while (1) ;`` and a global-load spin, boot cold and
-  from checkpoints on tree, source and hybrid with identical reports
+  from checkpoints on tree, source and the test-only "hybrid"
+  interpreter (``conftest.TEST_INTERPRETERS``) with identical reports
   and post-boot machine snapshots, while counting devices show the
   source boots skipped the spin;
 * *budget crossing* — the watchdog firing on every step consume of the
@@ -97,8 +98,6 @@ def c_driver():
         compile_program(files, registry),
         standard_pc(with_busmouse=False),
         DEFAULT_STEP_BUDGET,
-        backend="tree",
-        granularity="subcall",
     )
     return driver, registry, mutants, plan
 
@@ -232,8 +231,7 @@ def test_read_free_spin_finishes_a_huge_budget(c_driver, key):
     program, _ = _variant(c_driver, key)
     budget = 10**12
     report = boot(
-        program, standard_pc(with_busmouse=False), step_budget=budget,
-        backend="hybrid",
+        program, standard_pc(with_busmouse=False), step_budget=budget
     )
     assert report.outcome is BootOutcome.INFINITE_LOOP
     assert (report.steps, report.detail) == (

@@ -24,6 +24,7 @@ import sys
 
 import pytest
 
+from conftest import INTERPRETERS
 from repro.engine import Engine, EngineClient, ScenarioRequest, SupervisionPolicy
 from repro.scenarios import (
     PROFILE_ORDER,
@@ -165,7 +166,7 @@ def test_switch_skipped_declaration_classifies_as_crash():
         backend: scenario_boot(
             program, ScenarioMachine(1), 30_000, backend=backend
         )
-        for backend in ("tree", "closure", "source", "hybrid")
+        for backend in INTERPRETERS
     }
     reference = reports["tree"]
     assert reference.outcome is BootOutcome.CRASH
@@ -304,7 +305,7 @@ def test_cli_generate_list_run_round_trip(tmp_path, corpus):
         _cli(
             "run", "--id", "polling-000",
             "--fraction", str(FRACTION), "--seed", str(SEED),
-            "--boot-checkpoint", "--granularity", "subcall",
+            "--boot-checkpoint",
             env=env,
         )
     )

@@ -6,7 +6,7 @@ Two layers below the campaign tests in ``test_checkpoint.py``:
   depth-1 statement boundaries of a direct call (loops, switches and
   branches included — no loop-free policy here, so the resume descent's
   hairiest continuations all execute), then every snapshot is restored
-  into every backend and resumed; the split run must be
+  into every backend and test-only interpreter and resumed; the split run must be
   indistinguishable from an uninterrupted one.  Swept over the busmouse
   spec's driver and the differential harness's generated programs;
 * **boot-level sweeps** — the C and C/Devil drivers' sub-call plans
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import ALL_BACKENDS, boot_report_view
+from conftest import INTERPRETERS, boot_report_view
 from test_backend_differential import ProgramGen, ScriptedBus
 
 from repro.drivers import (
@@ -150,7 +150,7 @@ def test_busmouse_driver_subcall_resume_sweep():
         finish=lambda interp: _guarded(lambda: interp.call("bm_get_state")),
         machine_factory=machine_factory,
         budget=50_000,
-        backends=ALL_BACKENDS,
+        backends=INTERPRETERS,
     )
     assert count >= 4  # the probe body's early statement boundaries
 
@@ -189,7 +189,7 @@ def _generated_sweep(seed):
         finish=lambda interp: None,
         machine_factory=lambda: (None, ScriptedBus(seed)),
         budget=30_000,
-        backends=ALL_BACKENDS,
+        backends=INTERPRETERS,
     )
 
 
@@ -216,11 +216,7 @@ def _boot_sweep(assemble, backend, stride):
         boot(program, standard_pc(with_busmouse=False), backend=backend)
     )
     plan = record_plan(
-        program,
-        standard_pc(with_busmouse=False),
-        DEFAULT_STEP_BUDGET,
-        backend=backend,
-        granularity="subcall",
+        program, standard_pc(with_busmouse=False), DEFAULT_STEP_BUDGET
     )
     assert boot_report_view(plan.report) == cold
     subcalls = [c for c in plan.checkpoints if c.subcall]
@@ -243,18 +239,18 @@ def _boot_sweep(assemble, backend, stride):
         )
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("backend", INTERPRETERS)
 def test_c_driver_subcall_resume_fast_slice(backend):
     _boot_sweep(assemble_c_program, backend, stride=9)
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("backend", INTERPRETERS)
 def test_cdevil_driver_subcall_resume_fast_slice(backend):
     _boot_sweep(assemble_cdevil_program, backend, stride=9)
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("backend", INTERPRETERS)
 @pytest.mark.parametrize(
     "assemble", (assemble_c_program, assemble_cdevil_program)
 )
@@ -277,10 +273,7 @@ def test_midcall_snapshot_retake_transfers(first, second):
         boot(program, standard_pc(with_busmouse=False), backend=second)
     )
     plan = record_plan(
-        program,
-        standard_pc(with_busmouse=False),
-        DEFAULT_STEP_BUDGET,
-        granularity="subcall",
+        program, standard_pc(with_busmouse=False), DEFAULT_STEP_BUDGET
     )
     checkpoint = next(c for c in plan.checkpoints if c.subcall)
 
