@@ -42,21 +42,36 @@ mini-C block scoping is lexical (a ``LocalDecl`` becomes visible to the
 statements after it, shadowing outer bindings), so each local maps to a
 mangled Python local at emit time.  One construct genuinely needs the
 dynamic scan — a ``switch`` whose case groups declare locals, where
-jumping into a later group skips the declaration — and any function
-containing it falls back to closure lowering (the two are
-bit-identical, so mixing is safe).  A per-call arity guard routes calls
-with unexpected argument counts to the closure function for the same
-reason.
+jumping into a later group skips the declaration — and a scan before
+emission sends any function containing it to closure lowering, alone
+(the two are bit-identical, so mixing is safe).  A per-call arity guard
+routes calls with unexpected argument counts to that function's closure
+lowering for the same reason.
 
-Caching: the compiled code object (plus its constant pool) is cached
-*on the declaration node* keyed by an environment fingerprint (function
-signatures and global types — everything emission and sema annotation
-of an unchanged declaration can depend on), so
-`repro.minic.incremental.CampaignCompiler` splices reuse unmutated
-functions' code objects across mutants; the assembled per-program
-function table is cached on the program.  A declaration the compile
-cache re-parsed for one variant and that has no loop is closure-lowered
-instead of emitted (see :func:`compiled_source_functions`).
+Literal slots: every integer whose value comes from the program is
+emitted as a name bound next to the constant pool, one per occurrence,
+while numbers derived from structure (step counts, type masks and
+bounds) stay inline.  Folds and wraps are still decided from values, so
+the text of a function changes with a literal only where its value
+changes an emission decision.
+
+Caching, at three levels:
+
+* the function table of a program is cached on the program;
+* a declaration's factory (its exec'd code plus constant pool and slot
+  values) is cached *on the declaration node* keyed by an environment
+  fingerprint (function signatures and global types — everything
+  emission and sema annotation of an unchanged declaration can depend
+  on), so `repro.minic.incremental.CampaignCompiler` splices reuse
+  unmutated functions across mutants;
+* a code object is cached by its text in ``CompiledProgram.code_cache``,
+  which every program of one campaign shares, so a function re-parsed
+  for a literal mutant, which emits its baseline's text, compiles
+  nothing (see :func:`_emit_decl`).
+
+A declaration the compile cache re-parsed for one variant and that has
+no loop is closure-lowered instead of emitted (see
+:func:`compiled_source_functions`).
 """
 
 from __future__ import annotations
@@ -104,7 +119,6 @@ from repro.minic.compile import (
     _truthy,
     _wrap_fn,
     ClosureInterpreter,
-    compiled_functions,
 )
 from repro.minic.program import CompiledProgram
 from repro.minic.values import CArray, CPointer, CStructValue
@@ -114,10 +128,6 @@ _VOID_TYPE = type(VOID)
 #: Matches codes that are plain names or integer literals — safe to use
 #: verbatim without a temporary.
 _SIMPLE_RE = re.compile(r"\A-?[A-Za-z0-9_]+\Z")
-
-
-class _Unsupported(Exception):
-    """Emission cannot preserve dynamic semantics; use the closure path."""
 
 
 # -- runtime support for emitted code -----------------------------------------
@@ -278,13 +288,6 @@ def _fits(inner: IntCType | None, outer: IntCType) -> bool:
 _INT_LITERAL_RE = re.compile(r"\A-?\d+\Z")
 
 
-def _literal_int(code: str) -> int | None:
-    """The int a code string literally denotes, or None."""
-    if _INT_LITERAL_RE.match(code):
-        return int(code)
-    return None
-
-
 class _BranchScope:
     """Saves/restores an emitter's covered-lines set around a region
     whose execution is conditional (see ``_FunctionEmitter.cov``)."""
@@ -395,15 +398,18 @@ class _FunctionEmitter:
         self.indent = 0
         self.consts: dict[str, object] = {}
         self._const_ids: dict[int, str] = {}
+        #: slot name -> an integer from the program (see :meth:`slot`).
+        self.slots: dict[str, int] = {}
         self._tmp = 0
         self._scope_id = 0
         self._scopes: list[dict[str, tuple[str, CType | None]]] = []
         #: (file, line) pairs guaranteed to be in the coverage set at the
         #: current emission point (updates of subsets are no-ops).
         self._covered: set[tuple[str, int]] = set()
-        #: port -> hoisted bus read-handler name (fused reads bypass
-        #: IOBus.read_port when the bus published a handler).
-        self._port_hoists: dict[int, str] = {}
+        #: port -> (hoisted bus read-handler name, the port's slot):
+        #: fused reads bypass IOBus.read_port when the bus published a
+        #: handler.
+        self._port_hoists: dict[int, tuple[str, str]] = {}
         self._hoist_mark = 0
         #: While a fast-forwardable loop's condition is emitted: one
         #: (port code, size, value name) per port read, in read order.
@@ -434,6 +440,33 @@ class _FunctionEmitter:
             self.consts[name] = obj
             self._const_ids[id(obj)] = name
         return name
+
+    def slot(self, value: int) -> str:
+        """A new name bound to ``value``, an integer from the program.
+
+        Every integer whose value comes from the program (literals,
+        folds of them, case values, constant ports and masks, static
+        call arguments) is emitted as a slot, one per occurrence, never
+        shared by value: a literal mutant then emits its baseline's text
+        unless its value changes an emission decision.  Numbers the
+        emitter derives from structure (step counts, masks and bounds
+        of types, read sizes, group indices) stay inline.
+        """
+        name = f"_k{len(self.slots)}"
+        self.slots[name] = value
+        return name
+
+    def literal_int(self, code: str) -> int | None:
+        """The int a code string denotes (a slot or a literal), or None."""
+        value = self.slots.get(code)
+        if value is None and _INT_LITERAL_RE.match(code):
+            value = int(code)
+        return value
+
+    def folded(self, code: str, value: int) -> str:
+        """``value`` folded from the literal ``code``: ``code`` itself when
+        the fold leaves it unchanged, else a new slot."""
+        return code if self.literal_int(code) == value else self.slot(value)
 
     def steps(self, count: int) -> None:
         """One batched step consume; crossings always leave ``budget + 1``."""
@@ -488,9 +521,7 @@ class _FunctionEmitter:
         name = self.materialize(val)
         return f"(({name} != 0) if type({name}) is int else _truthy({name}))"
 
-    def eq_wrap_of(
-        self, ctype: IntCType, code: str, const_value: int | None = None
-    ) -> str:
+    def eq_wrap_of(self, ctype: IntCType, code: str) -> str:
         """Wrap for ``==``/``!=`` operands: mask-only.
 
         ``wrap`` is a bijection on the 2**width residue classes, so
@@ -498,16 +529,16 @@ class _FunctionEmitter:
         masked residues — the sign adjustment may be skipped.
         """
         mask = (1 << ctype.width) - 1
-        literal = _literal_int(code) if const_value is None else const_value
+        literal = self.literal_int(code)
         if literal is not None:
-            return repr(literal & mask)
+            return self.folded(code, literal & mask)
         return f"({code} & {hex(mask)})"
 
-    def wrap_of(self, ctype: IntCType, code: str, const_value: int | None = None) -> str:
+    def wrap_of(self, ctype: IntCType, code: str) -> str:
         """Python expression for ``ctype.wrap(code)``; folds literals."""
-        literal = _literal_int(code) if const_value is None else const_value
+        literal = self.literal_int(code)
         if literal is not None:
-            return repr(ctype.wrap(literal))
+            return self.folded(code, ctype.wrap(literal))
         if not ctype.signed:
             return f"({code} & {hex((1 << ctype.width) - 1)})"
         return f"{self.const(_wrap_fn(ctype), 'w')}({code})"
@@ -522,9 +553,9 @@ class _FunctionEmitter:
         """
         if _fits(itype, ctype):
             return name
-        literal = _literal_int(name)
+        literal = self.literal_int(name)
         if literal is not None:
-            return repr(ctype.wrap(literal))
+            return self.folded(name, ctype.wrap(literal))
         if not ctype.signed:
             return f"({name} & {hex((1 << ctype.width) - 1)})"
         wrap = self.const(_wrap_fn(ctype), "w")
@@ -536,9 +567,9 @@ class _FunctionEmitter:
     def wrap_into(self, ctype: IntCType, code: str) -> str:
         """Emit ``code`` into a temp and return its wrapped value (a pure
         expression over the temp)."""
-        literal = _literal_int(code)
+        literal = self.literal_int(code)
         if literal is not None:
-            return repr(ctype.wrap(literal))
+            return self.folded(code, ctype.wrap(literal))
         name = self.temp()
         self.line(f"{name} = {code}")
         return self.wrap_name(ctype, name)
@@ -553,9 +584,9 @@ class _FunctionEmitter:
         if ctype is None:
             return name
         if isinstance(ctype, IntCType):
-            literal = _literal_int(name)
+            literal = self.literal_int(name)
             if literal is not None:
-                return repr(ctype.wrap(literal))
+                return self.folded(name, ctype.wrap(literal))
             if _fits(itype, ctype):
                 return name
             wrapped = self.wrap_name(ctype, name)
@@ -696,7 +727,9 @@ class _FunctionEmitter:
 
     # -- the function ------------------------------------------------------
 
-    def emit(self) -> tuple[str, dict[str, object], str]:
+    def emit(self) -> tuple[str, dict[str, object]]:
+        """The function's factory source and the names it binds (the
+        constant pool and the slots)."""
         decl = self.decl
         assert decl.body is not None and decl.return_type is not None
         # The per-program bindings (the function table and the closure
@@ -749,13 +782,13 @@ class _FunctionEmitter:
                 pad + "_tl = getattr(_bus, 'trace_limit', 1)",
                 pad + "_rdh = getattr(_bus, '_read_handlers', None)",
             ]
-            for port, hname in self._port_hoists.items():
+            for hname, port in self._port_hoists.values():
                 hoist.append(
                     pad + f"{hname} = _rdh.get({port}) "
                     f"if (_tl == 0 and _rdh is not None) else None"
                 )
             self.lines[self._hoist_mark : self._hoist_mark] = hoist
-        return "\n".join(self.lines) + "\n", self.consts, self.pyname
+        return "\n".join(self.lines) + "\n", {**self.consts, **self.slots}
 
     def emit_default_return(self) -> None:
         """Fall-through return: ``coerce_return(result=None -> 0)``."""
@@ -1083,13 +1116,7 @@ class _FunctionEmitter:
         self.pop_scope()
 
     def emit_switch(self, stmt: ast.Switch, origins, extra: int = 0) -> None:
-        assert stmt.expr is not None
-        for group in stmt.groups:
-            if any(isinstance(inner, ast.LocalDecl) for inner in group.body):
-                # Jumping into a later group past the declaration leaves
-                # the name dynamically unbound — only the scope-dict
-                # semantics of the reference backends model that.
-                raise _Unsupported("switch group declares a local")
+        assert stmt.expr is not None and not _declares_in_group(stmt)
         self.steps(1 + extra)
         self.cov(origins)
         selector = self.materialize(self.emit_expr(stmt.expr))
@@ -1110,7 +1137,12 @@ class _FunctionEmitter:
             values = [value for value in group.values if value is not None]
             if values:
                 conds.append(
-                    (" or ".join(f"{sel} == {value}" for value in values), index)
+                    (
+                        " or ".join(
+                            f"{sel} == {self.slot(value)}" for value in values
+                        ),
+                        index,
+                    )
                 )
         start = self.temp()
         if conds:
@@ -1193,10 +1225,10 @@ class _FunctionEmitter:
         if isinstance(expr, ast.IntLit):
             self.steps(1 + extra)
             value = expr.value if expr.unsigned else S32.wrap(expr.value)
-            return _Val(repr(value), pure=True, known_int=True)
+            return _Val(self.slot(value), pure=True, known_int=True)
         if isinstance(expr, ast.CharLit):
             self.steps(1 + extra)
-            return _Val(repr(expr.value), pure=True, known_int=True)
+            return _Val(self.slot(expr.value), pure=True, known_int=True)
         if isinstance(expr, ast.StrLit):
             self.steps(1 + extra)
             return _Val(repr(expr.value), pure=True)
@@ -1207,7 +1239,7 @@ class _FunctionEmitter:
             if static is not None:
                 value, total = static
                 self.steps(total + extra)
-                return _Val(repr(value), pure=True, known_int=True)
+                return _Val(self.slot(value), pure=True, known_int=True)
         if isinstance(expr, ast.Ident):
             return self.emit_ident(expr, extra)
         if isinstance(expr, ast.Call):
@@ -1340,19 +1372,27 @@ class _FunctionEmitter:
             return 1 + read_steps + const_steps, port, size, transform
         return None
 
-    def port_read_code(self, port: int, size: int) -> str:
-        """A fused port read: the hoisted per-port bus handler when one
-        exists (same value and side effects as ``read_port``, without
-        the per-access decode), else the bus method."""
-        hname = self._port_hoists.get(port)
-        if hname is None:
-            hname = f"_h{len(self._port_hoists)}"
-            self._port_hoists[port] = hname
+    def port_read_code(self, port: int, port_code: str, size: int) -> str:
+        """A fused read of ``port`` (slot ``port_code``): the hoisted
+        per-port bus handler when one exists (same value and side
+        effects as ``read_port``, without the per-access decode), else
+        the bus method."""
+        hoist = self._port_hoists.get(port)
+        if hoist is None:
+            hoist = self._port_hoists[port] = (
+                f"_h{len(self._port_hoists)}",
+                port_code,
+            )
+        hname = hoist[0]
         mask = (1 << size) - 1
         return (
             f"(({hname}({size}) & {mask}) if {hname} is not None "
-            f"else _bus.read_port({port}, {size}))"
+            f"else _bus.read_port({port_code}, {size}))"
         )
+
+    def static_code(self, value) -> str:
+        """Code for a static call argument: a slot when it is an int."""
+        return self.slot(value) if type(value) is int else repr(value)
 
     def arith_code(self, op: str, a: str, b: str) -> str:
         if op == "/":
@@ -1372,9 +1412,10 @@ class _FunctionEmitter:
             and _fits(raw_itype, common)
             and 0 <= wrapped_literal <= result_type.max_value
         ):
-            return f"({raw} & {wrapped_literal})"  # every wrap an identity
+            # Every wrap an identity.
+            return f"({raw} & {self.slot(wrapped_literal)})"
         a = self.wrap_name(common, raw, raw_itype)
-        b = repr(wrapped_literal)
+        b = self.slot(wrapped_literal)
         inner = self.arith_code(op, a, b) if read_left else self.arith_code(op, b, a)
         return self.wrap_of(result_type, inner)
 
@@ -1396,11 +1437,12 @@ class _FunctionEmitter:
             if matched is not None:
                 port, size, read_steps = matched
                 self.steps(read_steps + extra)
+                port_code = self.slot(port)
                 return self.record_read(
-                    repr(port),
+                    port_code,
                     size,
                     _Val(
-                        self.port_read_code(port, size),
+                        self.port_read_code(port, port_code, size),
                         itype={8: U8, 16: U16, 32: U32}[size],
                     ),
                 )
@@ -1427,8 +1469,8 @@ class _FunctionEmitter:
                                 )
                                 wire_value = int(coerced) & value_mask
                                 self.line(
-                                    f"_bus.write_port({port}, "
-                                    f"{wire_value}, {size})"
+                                    f"_bus.write_port({self.slot(port)}, "
+                                    f"{self.slot(wire_value)}, {size})"
                                 )
                                 return _Val("None", pure=True)
                         self.steps(1 + extra)
@@ -1439,7 +1481,7 @@ class _FunctionEmitter:
                         self.steps(port_static[1] + 2)
                         self.line(f"{wire} = {self.coerce_expr(params[0], wire)}")
                         self.line(
-                            f"_bus.write_port({port}, "
+                            f"_bus.write_port({self.slot(port)}, "
                             f"int({wire}) & {value_mask:#x}, {size})"
                         )
                         return _Val("None", pure=True)
@@ -1473,7 +1515,9 @@ class _FunctionEmitter:
             bi = self.const(builtin, "b")
             if all_static:
                 self.steps(static_steps + 2 + extra)
-                args_code = ", ".join(repr(value) for value in static_args)
+                args_code = ", ".join(
+                    self.static_code(value) for value in static_args
+                )
                 return _Val(f"{bi}(rt, [{args_code}])")
 
             self.steps(1 + extra)
@@ -1496,14 +1540,16 @@ class _FunctionEmitter:
                     else None
                 )
                 if param is None:
-                    parts.append(repr(value) if is_const else varname)
+                    parts.append(self.static_code(value) if is_const else varname)
                 elif is_const:
                     ok, coerced = _static_coerce(param, value)
                     if ok:
-                        parts.append(repr(coerced))
+                        parts.append(self.static_code(coerced))
                     else:
                         ct = self.const(param, "ct")
-                        parts.append(f"rt._coerce({value!r}, {ct})")
+                        parts.append(
+                            f"rt._coerce({self.static_code(value)}, {ct})"
+                        )
                 else:
                     parts.append(self.coerce_expr(param, varname))
             if self._reads is not None and name in _PORT_READS:
@@ -1622,7 +1668,7 @@ class _FunctionEmitter:
             else:
                 folded = 0 if operand_val != 0 else 1
             self.steps(2 + extra)
-            return _Val(repr(folded), pure=True, known_int=True)
+            return _Val(self.slot(folded), pure=True, known_int=True)
 
         self.steps(1 + extra)
         if op == "-":
@@ -1834,7 +1880,7 @@ class _FunctionEmitter:
             if fold_error is not None:
                 self.line(f"raise {self.const(fold_error, 'e')}")
                 return _Val("None", pure=True)
-            return _Val(repr(folded), pure=True, known_int=True)
+            return _Val(self.slot(folded), pure=True, known_int=True)
 
         if right_static is not None and left_static is None and (
             op in _COMPARE_OPS or op in _ARITH_OPS
@@ -1849,10 +1895,11 @@ class _FunctionEmitter:
                 inner_steps, port, size, transform = fused
                 self.steps(entry_steps + inner_steps + right_s + extra)
                 raw = self.temp()
-                self.line(f"{raw} = {self.port_read_code(port, size)}")
-                self.record_read(repr(port), size, _Val(raw, pure=True))
+                port_code = self.slot(port)
+                self.line(f"{raw} = {self.port_read_code(port, port_code, size)}")
+                self.record_read(port_code, size, _Val(raw, pure=True))
                 raw_itype = {8: U8, 16: U16, 32: U32}[size]
-                wrapped_right = repr(common.wrap(right_val))
+                right_value = common.wrap(right_val)
                 if (
                     op in _COMPARE_OPS
                     and transform is not None
@@ -1865,7 +1912,10 @@ class _FunctionEmitter:
                     # (low-bit & is wrap-invariant; the result is within
                     # [0, M], where both wraps are the identity), so the
                     # comparison runs on it directly.
-                    cond = f"({raw} & {transform[1]}) {op} {wrapped_right}"
+                    cond = (
+                        f"({raw} & {self.slot(transform[1])}) {op} "
+                        f"{self.slot(right_value)}"
+                    )
                     return _Val(
                         f"(1 if {cond} else 0)",
                         pure=True,
@@ -1883,11 +1933,11 @@ class _FunctionEmitter:
                     if op in ("==", "!="):
                         left_w = self.eq_wrap_of(common, value_code)
                         right_w = self.eq_wrap_of(
-                            common, None, common.wrap(right_val)
+                            common, self.slot(right_value)
                         )
                     else:
                         left_w = self.wrap_name(common, value_code, value_itype)
-                        right_w = wrapped_right
+                        right_w = self.slot(right_value)
                     cond = f"{left_w} {op} {right_w}"
                     return _Val(
                         f"(1 if {cond} else 0)",
@@ -1899,20 +1949,19 @@ class _FunctionEmitter:
                     op == "&"
                     and transform is None
                     and _fits(raw_itype, common)
-                    and 0 <= common.wrap(right_val) <= result_type.max_value
+                    and 0 <= right_value <= result_type.max_value
                 ):
                     # `inb(P) & M` with every wrap an identity: the raw
                     # value fits the common type, and the result lies in
                     # [0, M] inside the result range.
-                    mask_v = common.wrap(right_val)
-                    code = f"({raw} & {mask_v})"
+                    code = f"({raw} & {self.slot(right_value)})"
                     return _Val(code, pure=True, itype=result_type)
                 code = self.wrap_into(
                     result_type,
                     self.arith_code(
                         op,
                         self.wrap_name(common, value_code, value_itype),
-                        wrapped_right,
+                        self.slot(right_value),
                     ),
                 )
                 return _Val(code, pure=True, itype=result_type)
@@ -1947,7 +1996,7 @@ class _FunctionEmitter:
         left_itype: IntCType | None = None
         if left_static is not None:
             left_cval = left_static[0]
-            left_name = repr(left_cval)
+            left_name = self.slot(left_cval)
             left_known = True
         elif left_load is not None:
             left_name, left_itype = left_load
@@ -1962,7 +2011,7 @@ class _FunctionEmitter:
         right_itype: IntCType | None = None
         if right_static is not None:
             right_cval = right_static[0]
-            right_name = repr(right_cval)
+            right_name = self.slot(right_cval)
             right_known = True
         elif right_load is not None:
             right_name, right_itype = right_load
@@ -1985,7 +2034,7 @@ class _FunctionEmitter:
         def common_operand(name, cval, itype):
             """``common.wrap(operand)`` — folded / skipped / inline."""
             if cval is not None:
-                return repr(common.wrap(cval))
+                return self.folded(name, common.wrap(cval))
             return self.wrap_name(common, name, itype)
 
         def fast_path() -> tuple[str, bool, str | None]:
@@ -2012,12 +2061,8 @@ class _FunctionEmitter:
                     if left_in and right_in:
                         lw, rw = left_name, right_name
                     else:
-                        lw = self.eq_wrap_of(
-                            common, left_name, left_cval
-                        )
-                        rw = self.eq_wrap_of(
-                            common, right_name, right_cval
-                        )
+                        lw = self.eq_wrap_of(common, left_name)
+                        rw = self.eq_wrap_of(common, right_name)
                 else:
                     lw = common_operand(left_name, left_cval, left_itype)
                     rw = common_operand(right_name, right_cval, right_itype)
@@ -2028,7 +2073,7 @@ class _FunctionEmitter:
                 self.line(f"{amount} = {right_name} & 31")
                 base = self.temp()
                 base_code = (
-                    repr(result_type.wrap(left_cval))
+                    self.folded(left_name, result_type.wrap(left_cval))
                     if left_cval is not None
                     else self.wrap_name(result_type, left_name, left_itype)
                 )
@@ -2267,31 +2312,30 @@ class _FunctionEmitter:
 # -- program assembly ----------------------------------------------------------
 
 
-def _emit_decl(decl: ast.FuncDecl, env: _Env):
-    """The function's factory callable — or None for closure mode.
+def _emit_decl(program: CompiledProgram, decl: ast.FuncDecl, env: _Env):
+    """The function's factory callable.
 
-    The emitted module is exec'd once here, against a namespace holding
-    the helpers and the constant pool (all immutable); the returned
-    factory binds a program's function table per instantiation.
+    The emitted text is compiled only when the program's code cache
+    (``CompiledProgram.code_cache``, one per campaign) holds no code
+    object for it.  ``compile()`` is a pure function of the text, and
+    the filename adds only the function's name, which the text holds
+    too, so a hit is the code object a fresh compile would return.  Only
+    a shared declaration's miss is stored: a fresh declaration's text
+    serves its one variant.  Hit or miss, the code is exec'd against
+    the helpers plus *this* declaration's constant pool and slot values;
+    the returned factory binds a program's function table per
+    instantiation.
     """
-    try:
-        source, consts, pyname = _FunctionEmitter(decl, env).emit()
-    except _Unsupported:
-        return None
-    code = compile(source, f"<minic:{decl.name}>", "exec")
+    source, values = _FunctionEmitter(decl, env).emit()
+    code = program.code_cache.get(source)
+    if code is None:
+        code = compile(source, f"<minic:{decl.name}>", "exec")
+        if id(decl) not in program.fresh:
+            program.code_cache[source] = code
     namespace = dict(_BASE_HELPERS)
-    namespace.update(consts)
+    namespace.update(values)
     exec(code, namespace)
     return namespace["_factory"]
-
-
-def _closure_call(program: CompiledProgram, name: str) -> Callable:
-    """Lazy dispatch into the whole-program closure lowering of ``name``."""
-
-    def call(rt, args):
-        return compiled_functions(program)[name](rt, args)
-
-    return call
 
 
 def compiled_source_functions(program: CompiledProgram) -> dict[str, Callable]:
@@ -2305,14 +2349,21 @@ def compiled_source_functions(program: CompiledProgram) -> dict[str, Callable]:
       (``program.fresh``) that contains no loop is closure-lowered: its
       emission would serve this one mutant, and lowering it costs
       ~0.05 ms against ~1 ms for a Python ``compile``;
-    * every other declaration is source-emitted, its code object cached
+    * so is a declaration emission cannot model
+      (:func:`_declares_in_group`);
+    * every other declaration is source-emitted.  Its factory is cached
       on the declaration node under the environment fingerprint, so the
-      baseline and every campaign variant sharing the node reuse it.  A
+      baseline and every campaign variant sharing the node reuse it, and
+      its code object in the campaign's code cache under its text (see
+      :func:`_emit_decl`), so a fresh declaration that emits a shared
+      one's text, as a literal mutant's does, compiles nothing.  A
       fresh declaration with a loop is emitted too: a budget-bound
       mutant burns its whole step budget inside its own loop, where the
       emitted polling idioms run ~3x faster than closures.
 
-    Cross-calls in both directions dispatch through this table.
+    A closure-lowered function is lowered alone, on its first call, by
+    the program's one lowerer.  Cross-calls in both directions dispatch
+    through this table.
     """
     cached = getattr(program, "_source_functions", None)
     if cached is not None:
@@ -2321,58 +2372,66 @@ def compiled_source_functions(program: CompiledProgram) -> dict[str, Callable]:
     fns: dict[str, Callable] = {}
     lowerer_slot: list = []
 
-    def shared_lowerer() -> _Lowerer:
+    def lower(decl: ast.FuncDecl) -> Callable:
         if not lowerer_slot:
             lowerer = _Lowerer(program)
             # Closure-lowered bodies call their source-compiled siblings
             # (and vice versa) through this table.
             lowerer.compiled = fns
             lowerer_slot.append(lowerer)
-        return lowerer_slot[0]
+        return lowerer_slot[0]._lower_function(decl)
 
     for name, decl in env.function_decls.items():
         entry = getattr(decl, "_source_code", None)
+        statements = decl.body.statements
         if entry is not None and entry[0] == env.key:
-            fns[name] = _instantiate(program, name, entry[1], fns)
-        elif id(decl) in program.fresh and not _contains_loop(
-            decl.body.statements
-        ):
-            fns[name] = _lowered_entry(name, decl, fns, shared_lowerer)
+            fns[name] = entry[1](fns, _lowered_fallback(decl, lower))
+        elif (
+            id(decl) in program.fresh and not _contains_loop(statements)
+        ) or any(map(_declares_in_group, _nested(statements))):
+            fns[name] = _lowered_entry(name, decl, fns, lower)
         else:
-            fns[name] = _emitted_entry(program, name, decl, env, fns)
+            fns[name] = _emitted_entry(program, name, decl, env, fns, lower)
     program._source_functions = fns
     return fns
 
 
-def _instantiate(program, name, factory, fns) -> Callable:
-    """Bind an emitted factory to ``fns`` (closure path when unsupported)."""
-    if factory is None:
-        return _closure_call(program, name)
-    return factory(fns, _closure_call(program, name))
-
-
-def _emitted_entry(program, name, decl, env, fns) -> Callable:
+def _emitted_entry(program, name, decl, env, fns, lower) -> Callable:
     """Emit + compile on first call, then replace ourselves in the table."""
 
     def first_call(rt, args):
         entry = getattr(decl, "_source_code", None)
         if entry is None or entry[0] != env.key:
-            entry = (env.key, _emit_decl(decl, env))
+            entry = (env.key, _emit_decl(program, decl, env))
             decl._source_code = entry
-        compiled = fns[name] = _instantiate(program, name, entry[1], fns)
+        compiled = fns[name] = entry[1](fns, _lowered_fallback(decl, lower))
         return compiled(rt, args)
 
     return first_call
 
 
-def _lowered_entry(name, decl, fns, shared_lowerer) -> Callable:
+def _lowered_entry(name, decl, fns, lower) -> Callable:
     """Closure-lower on first call, then replace ourselves in the table."""
 
     def first_call(rt, args):
-        compiled = fns[name] = shared_lowerer()._lower_function(decl)
+        compiled = fns[name] = lower(decl)
         return compiled(rt, args)
 
     return first_call
+
+
+def _lowered_fallback(decl, lower) -> Callable:
+    """An emitted function's route for calls of unexpected arity (whose
+    zip-binding of parameters only closure lowering models): ``decl``
+    closure-lowered alone, on the first such call."""
+    lowered: list = []
+
+    def call(rt, args):
+        if not lowered:
+            lowered.append(lower(decl))
+        return lowered[0](rt, args)
+
+    return call
 
 
 # -- the backend ---------------------------------------------------------------
@@ -2421,23 +2480,46 @@ class SourceInterpreter(Interpreter):
     _exec_resumed = ClosureInterpreter._exec_resumed
 
 
-def _contains_loop(stmts) -> bool:
-    """Whether any (nested) statement is a loop construct."""
+def _nested(stmts):
+    """Every statement of ``stmts``, nested statements included."""
     for stmt in stmts:
-        if isinstance(stmt, (ast.While, ast.DoWhile, ast.For)):
-            return True
+        if stmt is None:
+            continue
+        yield stmt
         if isinstance(stmt, ast.Block):
-            if _contains_loop(stmt.statements):
-                return True
+            yield from _nested(stmt.statements)
         elif isinstance(stmt, ast.If):
-            inner = [s for s in (stmt.then, stmt.otherwise) if s is not None]
-            if _contains_loop(inner):
-                return True
+            yield from _nested((stmt.then, stmt.otherwise))
+        elif isinstance(stmt, (ast.While, ast.DoWhile)):
+            yield from _nested((stmt.body,))
+        elif isinstance(stmt, ast.For):
+            yield from _nested((stmt.init, stmt.body))
         elif isinstance(stmt, ast.Switch):
             for group in stmt.groups:
-                if _contains_loop(group.body):
-                    return True
-    return False
+                yield from _nested(group.body)
+
+
+def _contains_loop(stmts) -> bool:
+    """Whether any (nested) statement is a loop construct."""
+    return any(
+        isinstance(stmt, (ast.While, ast.DoWhile, ast.For))
+        for stmt in _nested(stmts)
+    )
+
+
+def _declares_in_group(stmt: ast.Stmt) -> bool:
+    """Whether ``stmt`` is a ``switch`` with a case group declaring a local.
+
+    Jumping into a later group past the declaration leaves the name
+    dynamically unbound, which only the scope-dict semantics of the
+    reference backends model: a function holding such a switch is
+    closure-lowered, never emitted.
+    """
+    return isinstance(stmt, ast.Switch) and any(
+        isinstance(inner, ast.LocalDecl)
+        for group in stmt.groups
+        for inner in group.body
+    )
 
 
 #: Importing this module registers the backend (see compile.interpreter_for).

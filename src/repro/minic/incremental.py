@@ -326,6 +326,9 @@ class CampaignCompiler:
         #: declarations' sema annotations under a non-baseline
         #: environment (see ``_ensure_baseline_annotations``).
         self._annotations_dirty = False
+        #: The code cache every program this compiler returns carries
+        #: (``CompiledProgram.code_cache``).
+        self.code_cache: dict = {}
         self.baseline_program = self._sema_baseline(unit)
         self.baseline_text = baseline_text
         self._stripped_baseline = strip_comments(baseline_text)
@@ -576,6 +579,7 @@ class CampaignCompiler:
             self.stats["full"] += 1
             program = self._full_compile(text)
             program.fresh = frozenset(map(id, program.unit.decls))
+            program.code_cache = self.code_cache
             return program
         first, last, _, _ = located
 
@@ -772,6 +776,7 @@ class CampaignCompiler:
         return CompiledProgram(
             unit=unit,
             warnings=[d for d in sink.diagnostics if not d.is_error],
+            code_cache=self.code_cache,
         )
 
     def _variant_sema(
@@ -818,6 +823,7 @@ class CampaignCompiler:
             unit=unit,
             warnings=[d for d in sink.diagnostics if not d.is_error],
             fresh=frozenset(fresh_ids),
+            code_cache=self.code_cache,
         )
 
     def _ensure_baseline_annotations(self) -> None:

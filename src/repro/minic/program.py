@@ -35,6 +35,11 @@ class CompiledProgram:
     #: declaration may be shared with other programs.  Empty for a
     #: program compiled from scratch.
     fresh: frozenset = frozenset()
+    #: Emitted Python text -> its compiled code object, for the ``source``
+    #: backend (`repro.minic.codegen`).  Every program a campaign's
+    #: compile cache returns shares the campaign's dict; a program
+    #: compiled from scratch has one of its own.
+    code_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def function_names(self) -> list[str]:
         return [

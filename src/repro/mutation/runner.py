@@ -516,8 +516,14 @@ def prepare_campaign(
         regions=regions, compiler=campaign_compiler,
     )
 
-    # Baseline: the unmutated driver must boot cleanly.
-    baseline_program = compile_program(files, registry)
+    # Baseline: the unmutated driver must boot cleanly.  With the
+    # compile cache on, the boot runs the compiler's own baseline, so
+    # the functions it emits are the ones the campaign's variants share.
+    baseline_program = (
+        campaign_compiler.baseline_program
+        if campaign_compiler is not None
+        else compile_program(files, registry)
+    )
     baseline = boot(baseline_program, standard_pc(), backend=backend)
     if baseline.outcome is not BootOutcome.BOOT:
         raise RuntimeError(

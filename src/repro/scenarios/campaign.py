@@ -293,8 +293,10 @@ def prepare_scenario_campaign(
     # Fixed budget (not derived from measured baseline steps) so every
     # process derives the identical plan fingerprint from the spec.
     budget = step_budget or DEFAULT_SCENARIO_BUDGET
+    # With the compile cache on, the compiler's own baseline runs, so the
+    # functions it emits are the ones the campaign's variants share.
     baseline = scenario_boot(
-        compile_program(files),
+        compiler.baseline_program if compiler is not None else compile_program(files),
         ScenarioMachine(scenario.bus_seed),
         step_budget=budget,
         backend=backend,

@@ -13,7 +13,9 @@ virtual clock.  A second tier replays seeded samples of real campaign
 mutants from the bundled drivers through whole boots; one of them
 compiles its mutants through the campaign compile cache, so the source
 backend's mixed table (fresh loop-free functions closure-lowered, the
-rest emitted) is compared on real variants.
+rest emitted) is compared on real variants.  A third sweeps literal and
+operator mutants of generated programs through one compile cache each,
+so later variants run code objects compiled for earlier ones.
 
 The fast slice runs in tier-1; the ``slow``-marked sweeps push the
 generated-program and mutant counts past the hundreds.
@@ -40,13 +42,16 @@ from repro.drivers import (
     busmouse_stub_header,
 )
 from repro.hw import IOBus, LogitechBusmouse, standard_pc
-from repro.minic import SourceFile, compile_program
-from repro.minic.compile import interpreter_for
+from repro.minic import SourceFile, ast, codegen, compile_program
+from repro.minic.compile import _Lowerer, interpreter_for
 from repro.minic.incremental import CampaignCompiler
 from repro.mutation.generator import enumerate_c_mutants
 from repro.mutation.runner import build_c_pools
 from repro.mutation.sampling import sample_mutants
-from repro.scenarios import PROFILES, ProgramGen, ScriptedBus
+from repro.mutation.tagging import Region
+from repro.scenarios import PROFILES, ProgramGen, ScriptedBus, build_scenario
+from repro.scenarios.campaign import run_scenario_campaign
+from repro.scenarios.corpus import PROFILE_ORDER
 from repro.scenarios.generator import _PORTS as GENERATOR_PORTS
 
 # -- the differential harness --------------------------------------------------
@@ -157,6 +162,128 @@ def test_polling_programs_on_stuck_ports_equivalent():
             seed, profile=PROFILES["polling"], bus_factory=StuckPortBus
         )
     assert StuckPortBus.fixed_answers > 0
+
+
+# -- the code cache under the fuzzer -------------------------------------------
+
+#: One generated program per corpus profile, each with loop-bearing
+#: functions (emitted even when a mutant re-parses them); the ``dma`` and
+#: ``branchy`` ones also hold a switch whose case group declares a local,
+#: which emission cannot model.
+CACHE_SWEEP_SEEDS = {"polling": 10, "errorpath": 10, "dma": 19, "branchy": 10}
+
+
+def _switch_local_functions(program) -> list[str]:
+    """Functions holding a switch whose case group declares a local."""
+    return [
+        decl.name
+        for decl in program.unit.decls
+        if isinstance(decl, ast.FuncDecl)
+        and decl.body is not None
+        and any(
+            map(codegen._declares_in_group, codegen._nested(decl.body.statements))
+        )
+    ]
+
+
+def _literal_and_operator_mutants(source, filename, compiler, fraction, seed):
+    """Every operator mutant, and a sample of the far more numerous
+    literal ones, in source order."""
+    mutants = enumerate_c_mutants(
+        source,
+        filename,
+        build_c_pools([SourceFile(filename, source)], {}, filename),
+        include_registry={},
+        regions=[Region(0, len(source))],
+        compiler=compiler,
+    )
+    literals = sample_mutants(
+        [m for m in mutants if m.site.kind == "literal"], fraction, seed
+    )
+    return sorted(
+        literals + [m for m in mutants if m.site.kind == "operator"],
+        key=lambda m: m.site.offset,
+    )
+
+
+def test_cached_variants_of_generated_programs_equivalent(monkeypatch):
+    """Variants compiled in sequence through one compile cache per program.
+
+    A literal mutant's function emits its baseline's text, so it runs
+    the baseline's code object bound to its own slot values; ``source``
+    must still equal ``tree`` on everything :func:`run_once` compares.
+    """
+    emitted, compiled = [], []
+    emit, builtin_compile = codegen._FunctionEmitter.emit, compile
+
+    def counting_emit(self):
+        emitted.append(self.decl.name)
+        return emit(self)
+
+    def counting_compile(*args, **kwargs):
+        compiled.append(args[1])
+        return builtin_compile(*args, **kwargs)
+
+    monkeypatch.setattr(codegen._FunctionEmitter, "emit", counting_emit)
+    monkeypatch.setattr(codegen, "compile", counting_compile, raising=False)
+    variants = 0
+    for profile in PROFILE_ORDER:
+        seed = CACHE_SWEEP_SEEDS[profile]
+        source = ProgramGen(seed, PROFILES[profile]).program()
+        compiler = CampaignCompiler("fuzz.c", source, {})
+        if profile in ("dma", "branchy"):
+            assert _switch_local_functions(compiler.baseline_program), profile
+        baseline = compiler.baseline_program
+        assert run_once(baseline, "source", seed, 30_000) == run_once(
+            baseline, "tree", seed, 30_000
+        )
+        for mutant in _literal_and_operator_mutants(
+            source, "fuzz.c", compiler, 0.05, seed
+        ):
+            try:
+                program = compiler.compile_variant(mutant.apply(source))
+            except CompileError:
+                continue
+            variants += 1
+            assert run_once(program, "source", seed, 30_000) == run_once(
+                program, "tree", seed, 30_000
+            ), f"{profile} seed {seed}: {mutant.site} -> {mutant.replacement!r}"
+    assert variants > 300
+    # Later variants ran code compiled for earlier ones.
+    assert len(compiled) < len(emitted) / 2, (len(compiled), len(emitted))
+
+
+def test_checkpointed_campaign_lowers_switch_local_functions_alone(monkeypatch):
+    """A function emission cannot model is closure-lowered on its own.
+
+    Nothing lowers a whole program: the ``branchy`` scenario's
+    switch-local function is lowered alone into each variant's table,
+    and the campaign's rows equal the tree walker's.
+    """
+    scenario = build_scenario("branchy", 5)
+    flagged = _switch_local_functions(
+        compile_program([SourceFile(scenario.filename, scenario.source)])
+    )
+    assert flagged
+    whole, single = [], []
+    lower_unit, lower_function = _Lowerer.lower_unit, _Lowerer._lower_function
+
+    def counting_lower_unit(self):
+        whole.append(self)
+        return lower_unit(self)
+
+    def counting_lower_function(self, decl):
+        single.append(decl.name)
+        return lower_function(self, decl)
+
+    monkeypatch.setattr(_Lowerer, "lower_unit", counting_lower_unit)
+    monkeypatch.setattr(_Lowerer, "_lower_function", counting_lower_function)
+    fast = run_scenario_campaign(scenario, fraction=0.2, backend="source")
+    assert whole == []
+    assert set(flagged) & set(single)
+    reference = run_scenario_campaign(scenario, fraction=0.2, backend="tree")
+    assert fast.checkpoint_stats["resumed_subcall"] > 0
+    assert fast.results == reference.results
 
 
 # -- real campaign mutants -----------------------------------------------------

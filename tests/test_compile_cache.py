@@ -13,8 +13,13 @@ keeps to the default backend for time.
 
 Spliced variants share the baseline's statement nodes outside the
 edited statements; the statement-reuse tests pin which nodes are shared
-and that sharing never leaks a variant's types into the baseline.
+and that sharing never leaks a variant's types into the baseline.  The
+code-cache tests pin which variants compile Python code for the
+``source`` backend: a literal mutant's function emits its baseline's
+text and runs the baseline's code object with its own values.
 """
+
+import dataclasses
 
 import pytest
 
@@ -22,7 +27,7 @@ from conftest import INTERPRETERS, boot_report_view
 
 from repro.diagnostics import CompileError
 from repro.drivers import assemble_c_program, assemble_cdevil_program
-from repro.hw import standard_pc
+from repro.hw import IOBus, standard_pc
 from repro.kernel.checkpoint import (
     checkpoint_for_mutant,
     record_plan,
@@ -31,7 +36,7 @@ from repro.kernel.checkpoint import (
 from repro.kernel.kernel import DEFAULT_STEP_BUDGET, boot
 from repro.kernel.outcomes import BootOutcome
 from repro.minic import ast, codegen
-from repro.minic.compile import _Lowerer
+from repro.minic.compile import _Lowerer, interpreter_for
 from repro.minic.incremental import CampaignCompiler
 from repro.minic.program import SourceFile, compile_program
 from repro.mutation.generator import enumerate_c_mutants
@@ -337,19 +342,48 @@ def test_interleaved_variants_share_resume_lowerings_safely():
     _assert_baseline_pristine(compiler, driver, registry, source)
 
 
-def _literal_mutant(setup, needle, old, new):
-    """The mutant rewriting literal ``old`` inside ``needle`` to ``new``."""
+def _mutant(setup, needle, old, new, kind="literal"):
+    """The mutant rewriting ``old`` inside ``needle`` to ``new``."""
     source = setup.source
     offset = source.index(needle) + needle.index(old)
     line = source.count("\n", 0, offset) + 1
     column = offset - source.rfind("\n", 0, offset)
     site = MutationSite(
-        setup.driver_filename, line, column, offset, len(old), old, "literal"
+        setup.driver_filename, line, column, offset, len(old), old, kind
     )
     return Mutant(site, new)
 
 
-def test_checkpointed_variant_compiles_only_its_own_function(monkeypatch):
+def _count_compiles(monkeypatch) -> list[str]:
+    """The file names of codegen's ``compile()`` calls from now on."""
+    calls: list[str] = []
+
+    def counting_compile(source, filename, *args, **kwargs):
+        calls.append(filename)
+        return compile(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(codegen, "compile", counting_compile, raising=False)
+    return calls
+
+
+@pytest.fixture
+def warm_c_target():
+    """Driver c's checkpointed ``source`` target after one clean variant.
+
+    ``hd_reset`` runs first in the boot: a variant resumed before it
+    calls every function the clean boot calls.
+    """
+    setup = prepare_campaign("c")
+    target = MutantTarget(setup, backend="source")
+    target.warm()
+    row, _ = target.evaluate(_mutant(setup, "udelay(10);", "10", "11"))
+    assert row.outcome is BootOutcome.BOOT
+    return setup, target
+
+
+def test_checkpointed_variant_compiles_only_its_own_function(
+    warm_c_target, monkeypatch
+):
     """After one variant has run, the next emits no baseline function.
 
     A variant's table closure-lowers a declaration only when the compile
@@ -359,32 +393,188 @@ def test_checkpointed_variant_compiles_only_its_own_function(monkeypatch):
     editing a different, loop-free function lowers that function alone
     and calls every baseline function through cached emissions.
     """
-    setup = prepare_campaign("c")
-    target = MutantTarget(setup, backend="source")
-    target.warm()
-    # ``hd_reset`` runs first in the boot: a variant resumed before it
-    # calls every function the clean boot calls.
-    first = _literal_mutant(setup, "udelay(10);", "10", "11")
-    second = _literal_mutant(setup, "lba >> 8", "8", "9")  # in hd_out
-    row, _ = target.evaluate(first)
-    assert row.outcome is BootOutcome.BOOT
-
-    counts = {"lowered": [], "compiled": 0}
+    setup, target = warm_c_target
+    lowered = []
     lower_function = _Lowerer._lower_function
 
     def counting_lower(self, decl):
-        counts["lowered"].append(decl.name)
+        lowered.append(decl.name)
         return lower_function(self, decl)
 
-    def counting_compile(*args, **kwargs):
-        counts["compiled"] += 1
-        return compile(*args, **kwargs)
-
     monkeypatch.setattr(_Lowerer, "_lower_function", counting_lower)
-    monkeypatch.setattr(codegen, "compile", counting_compile, raising=False)
-    _, stats = target.evaluate(second)
+    compiled = _count_compiles(monkeypatch)
+    _, stats = target.evaluate(_mutant(setup, "lba >> 8", "8", "9"))  # hd_out
     assert stats["resumed_subcall"] == 1
-    assert counts == {"lowered": ["hd_out"], "compiled": 0}
+    assert (lowered, compiled) == (["hd_out"], [])
+
+
+# -- the code cache --------------------------------------------------------------
+
+
+def _cold_tree_row(setup, mutant):
+    """``mutant``'s row from a from-scratch compile and a cold tree boot."""
+    reference = MutantTarget(
+        setup, backend="tree", compile_cache=False, boot_checkpoint=False
+    )
+    row, _ = reference.evaluate(mutant)
+    return row
+
+
+def test_literal_mutants_of_a_loop_reuse_the_baseline_code(
+    warm_c_target, monkeypatch
+):
+    """Literals are slots: an edited loop-bearing function (emitted, not
+    lowered, though fresh) emits its baseline's text and runs the
+    baseline's code object bound to its own values.  An operator edit
+    changes the text, so it compiles that one function."""
+    setup, target = warm_c_target
+    compiled = _count_compiles(monkeypatch)
+    for mutant, compiles in (
+        (_mutant(setup, "if (s & STAT_ERR) { return -2; }", "2", "3"), []),
+        (_mutant(setup, "if (s & STAT_DRQ) { return 0; }", "0", "1"), []),
+        (
+            _mutant(
+                setup,
+                "for (t = 0; t < HD_TIMEOUT; t++) {\n        s = inb",
+                "<",
+                "<=",
+                kind="operator",
+            ),
+            ["<minic:wait_drq>"],
+        ),
+    ):
+        compiled.clear()
+        row, _ = target.evaluate(mutant)
+        assert compiled == compiles, mutant.site
+        assert row == _cold_tree_row(setup, mutant)
+
+
+#: Loop-bearing functions (emitted even when fresh) whose literals the
+#: tests below edit.
+_DECISIONS = """\
+static u8 cell;
+
+int store(int n)
+{
+    int i;
+    for (i = 0; i < n; i++) { cell = 200; }
+    return cell;
+}
+
+int divide(int n)
+{
+    int i;
+    int v = 0;
+    for (i = 0; i < n; i++) { v = v + 100 / 5; }
+    return v;
+}
+
+int both(int n)
+{
+    int i;
+    int v = 0;
+    for (i = 0; i < n; i++) { v = v + (1 && 2); }
+    return v;
+}
+
+int shift(int n)
+{
+    int i;
+    int v = 0;
+    for (i = 0; i < n; i++) { v = v + (i << 3); }
+    return v;
+}
+"""
+
+
+def _call(program, backend, name):
+    """Everything observable of ``name(5)`` on ``backend``."""
+    interp = interpreter_for(backend)(program, IOBus(), step_budget=100_000)
+    try:
+        outcome = ("value", interp.call(name, 5))
+    except Exception as error:  # compared, not hidden: type + message
+        outcome = ("raise", type(error).__name__, str(error))
+    return outcome, interp.steps, frozenset(interp.coverage), tuple(interp.log)
+
+
+@pytest.mark.parametrize(
+    "name,needle,kept,changed",
+    [
+        # 300 does not fit the u8 cell: a temp holds the wrapped value.
+        ("store", "cell = 200", ("200", "255"), ("200", "300")),
+        # A zero divisor raises where the division folded.
+        ("divide", "100 / 5", ("5", "7"), ("5", "0")),
+        # A false left side short-circuits the folded ``&&``: fewer steps.
+        ("both", "(1 && 2)", ("2)", "0)"), ("1 &&", "0 &&")),
+        # The amount is masked in the text (``& 31``): no value decides.
+        ("shift", "i << 3", ("3", "33"), None),
+    ],
+)
+def test_literal_value_that_changes_emission_compiles_its_own_text(
+    monkeypatch, name, needle, kept, changed
+):
+    """A value that keeps every emission decision reuses the baseline's
+    code; one that changes a decision compiles its own text.  Both run
+    exactly as the tree walker does, with their own values."""
+    compiler = CampaignCompiler("decisions.c", _DECISIONS, {})
+    baseline = _call(compiler.baseline_program, "source", name)
+    assert baseline == _call(compiler.baseline_program, "tree", name)
+    compiled = _count_compiles(monkeypatch)
+    for edit, compiles in ((kept, 0), (changed, 1)):
+        if edit is None:
+            continue
+        compiled.clear()
+        variant = compiler.compile_variant(_edit_line(_DECISIONS, needle, *edit)[0])
+        observed = _call(variant, "source", name)
+        assert len(compiled) == compiles, edit
+        assert observed == _call(variant, "tree", name)
+        assert observed != baseline
+
+
+def test_equal_text_runs_with_its_own_constant_pool(monkeypatch):
+    """A cache hit reuses the code object, never another pool.
+
+    Two programs whose functions sit on different lines emit equal
+    texts, but their coverage origins (constant-pool objects) differ.
+    """
+    first = compile_program([SourceFile("pool.c", _DECISIONS)])
+    moved = dataclasses.replace(
+        compile_program([SourceFile("pool.c", "\n\n" + _DECISIONS)]),
+        code_cache=first.code_cache,
+    )
+    expected = _call(first, "source", "store")
+    compiled = _count_compiles(monkeypatch)
+    observed = _call(moved, "source", "store")
+    assert compiled == []
+    assert expected == _call(first, "tree", "store")
+    assert observed == _call(moved, "tree", "store")
+    assert observed[2] == {(file, line + 2) for file, line in expected[2]}
+
+
+def test_campaign_setup_boots_the_baseline_its_variants_share(monkeypatch):
+    """The set-up's clean boot emits onto the compiler's baseline nodes.
+
+    So the first variant, resumed before every function the boot calls,
+    compiles nothing: shared functions run the set-up's emissions, and
+    the edited one (``hd_reset``, which has a loop) its baseline's code.
+    """
+    setup = prepare_campaign("c")
+    baseline = setup.compiler.baseline_program
+    emitted = [
+        decl.name
+        for decl in baseline.unit.decls
+        if getattr(decl, "_source_code", None) is not None
+    ]
+    assert emitted == baseline.function_names()
+    _assert_baseline_pristine(
+        setup.compiler, setup.driver_filename, setup.registry, setup.source
+    )
+    target = MutantTarget(setup, backend="source")
+    target.warm()
+    compiled = _count_compiles(monkeypatch)
+    row, _ = target.evaluate(_mutant(setup, "udelay(10);", "10", "11"))
+    assert row.outcome is BootOutcome.BOOT
+    assert compiled == []
 
 
 def test_table3_sample_splices_to_identical_asts(c_setup):
