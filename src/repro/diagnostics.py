@@ -114,6 +114,10 @@ class DiagnosticSink:
     def extend(self, diagnostics: list[Diagnostic]) -> None:
         self._diagnostics.extend(diagnostics)
 
+    def emitted_since(self, count: int) -> tuple[Diagnostic, ...]:
+        """The diagnostics emitted after the first ``count``, in order."""
+        return tuple(self._diagnostics[count:])
+
     @property
     def diagnostics(self) -> list[Diagnostic]:
         """All diagnostics, sorted by location then code for determinism."""

@@ -71,7 +71,9 @@ Caching, at three levels:
 
 A declaration the compile cache re-parsed for one variant and that has
 no loop is closure-lowered instead of emitted (see
-:func:`compiled_source_functions`).
+:func:`compiled_source_functions`); closure lowering caches each
+statement's closure on its node under the same environment key, so
+such a declaration lowers only the statements its variant re-parsed.
 """
 
 from __future__ import annotations
@@ -114,11 +116,12 @@ from repro.minic.compile import (
     _mod,
     _pointer_binary,
     _pointerish_compare,
-    _Lowerer,
     _static_coerce,
     _truthy,
     _wrap_fn,
     ClosureInterpreter,
+    environment_key,
+    program_lowerer,
 )
 from repro.minic.program import CompiledProgram
 from repro.minic.values import CArray, CPointer, CStructValue
@@ -195,25 +198,13 @@ _BASE_HELPERS = {
 # -- static program environment ------------------------------------------------
 
 
-def _type_key(ctype: CType | None) -> str:
-    return "?" if ctype is None else ctype.describe()
-
-
-def _signature_key(decl: ast.FuncDecl) -> tuple:
-    return (
-        _type_key(decl.return_type),
-        tuple(_type_key(param.ctype) for param in decl.params),
-        decl.variadic,
-    )
-
-
 class _Env:
     """Everything a function's emitted code may depend on beyond its AST.
 
-    ``key`` fingerprints the environment: if it matches, a cached code
-    object emitted against a previous program is still valid (sema
-    annotations of an unchanged declaration are a deterministic function
-    of the declaration and this environment).
+    ``key`` fingerprints the environment (:func:`environment_key`): if it
+    matches, a cached code object emitted against a previous program is
+    still valid (sema annotations of an unchanged declaration are a
+    deterministic function of the declaration and this environment).
     """
 
     def __init__(self, program: CompiledProgram):
@@ -227,20 +218,7 @@ class _Env:
             for decl in program.unit.decls
             if isinstance(decl, ast.GlobalDecl)
         }
-        self.key = (
-            tuple(
-                sorted(
-                    (name, _signature_key(decl))
-                    for name, decl in self.function_decls.items()
-                )
-            ),
-            tuple(
-                sorted(
-                    (name, _type_key(ctype))
-                    for name, ctype in self.global_types.items()
-                )
-            ),
-        )
+        self.key = environment_key(program)
 
 
 # -- emitted values ------------------------------------------------------------
@@ -2362,7 +2340,11 @@ def compiled_source_functions(program: CompiledProgram) -> dict[str, Callable]:
       emitted polling idioms run ~3x faster than closures.
 
     A closure-lowered function is lowered alone, on its first call, by
-    the program's one lowerer.  Cross-calls in both directions dispatch
+    the program's one lowerer (`repro.minic.compile.program_lowerer`),
+    which lowers only the statements no program with this environment
+    has lowered yet: statement closures are cached on their nodes.  The
+    loop and switch-local scans are cached on the declaration node
+    (:func:`_body_flags`).  Cross-calls in both directions dispatch
     through this table.
     """
     cached = getattr(program, "_source_functions", None)
@@ -2370,57 +2352,45 @@ def compiled_source_functions(program: CompiledProgram) -> dict[str, Callable]:
         return cached
     env = _Env(program)
     fns: dict[str, Callable] = {}
-    lowerer_slot: list = []
-
-    def lower(decl: ast.FuncDecl) -> Callable:
-        if not lowerer_slot:
-            lowerer = _Lowerer(program)
-            # Closure-lowered bodies call their source-compiled siblings
-            # (and vice versa) through this table.
-            lowerer.compiled = fns
-            lowerer_slot.append(lowerer)
-        return lowerer_slot[0]._lower_function(decl)
-
     for name, decl in env.function_decls.items():
-        entry = getattr(decl, "_source_code", None)
-        statements = decl.body.statements
+        entry = decl.__dict__.get("_source_code")
         if entry is not None and entry[0] == env.key:
-            fns[name] = entry[1](fns, _lowered_fallback(decl, lower))
-        elif (
-            id(decl) in program.fresh and not _contains_loop(statements)
-        ) or any(map(_declares_in_group, _nested(statements))):
-            fns[name] = _lowered_entry(name, decl, fns, lower)
+            fns[name] = entry[1](fns, _lowered_fallback(program, decl))
+            continue
+        has_loop, switch_local = _body_flags(decl)
+        if switch_local or (id(decl) in program.fresh and not has_loop):
+            fns[name] = _lowered_entry(program, name, decl, fns)
         else:
-            fns[name] = _emitted_entry(program, name, decl, env, fns, lower)
+            fns[name] = _emitted_entry(program, name, decl, env, fns)
     program._source_functions = fns
     return fns
 
 
-def _emitted_entry(program, name, decl, env, fns, lower) -> Callable:
+def _emitted_entry(program, name, decl, env, fns) -> Callable:
     """Emit + compile on first call, then replace ourselves in the table."""
 
     def first_call(rt, args):
-        entry = getattr(decl, "_source_code", None)
+        entry = decl.__dict__.get("_source_code")
         if entry is None or entry[0] != env.key:
             entry = (env.key, _emit_decl(program, decl, env))
             decl._source_code = entry
-        compiled = fns[name] = entry[1](fns, _lowered_fallback(decl, lower))
+        compiled = fns[name] = entry[1](fns, _lowered_fallback(program, decl))
         return compiled(rt, args)
 
     return first_call
 
 
-def _lowered_entry(name, decl, fns, lower) -> Callable:
+def _lowered_entry(program, name, decl, fns) -> Callable:
     """Closure-lower on first call, then replace ourselves in the table."""
 
     def first_call(rt, args):
-        compiled = fns[name] = lower(decl)
+        compiled = fns[name] = program_lowerer(program)._lower_function(decl)
         return compiled(rt, args)
 
     return first_call
 
 
-def _lowered_fallback(decl, lower) -> Callable:
+def _lowered_fallback(program, decl) -> Callable:
     """An emitted function's route for calls of unexpected arity (whose
     zip-binding of parameters only closure lowering models): ``decl``
     closure-lowered alone, on the first such call."""
@@ -2428,7 +2398,7 @@ def _lowered_fallback(decl, lower) -> Callable:
 
     def call(rt, args):
         if not lowered:
-            lowered.append(lower(decl))
+            lowered.append(program_lowerer(program)._lower_function(decl))
         return lowered[0](rt, args)
 
     return call
@@ -2474,9 +2444,8 @@ class SourceInterpreter(Interpreter):
         return self._compiled[decl.name](self, args)
 
     # Fresh statements in a resumed in-flight call run closure-lowered
-    # (source emission is per-function), cached on the shared AST nodes
-    # with calls late-bound through rt._compiled.
-    _resume_lowerer = None
+    # (source emission is per-function), from the statement closures
+    # cached on their nodes.
     _exec_resumed = ClosureInterpreter._exec_resumed
 
 
@@ -2499,12 +2468,26 @@ def _nested(stmts):
                 yield from _nested(group.body)
 
 
+_LOOPS = (ast.While, ast.DoWhile, ast.For)
+
+
 def _contains_loop(stmts) -> bool:
     """Whether any (nested) statement is a loop construct."""
-    return any(
-        isinstance(stmt, (ast.While, ast.DoWhile, ast.For))
-        for stmt in _nested(stmts)
-    )
+    return any(isinstance(stmt, _LOOPS) for stmt in _nested(stmts))
+
+
+def _body_flags(decl: ast.FuncDecl) -> tuple[bool, bool]:
+    """Whether ``decl``'s body holds a loop, and whether it holds a
+    switch that declares a local in a case group; one walk, cached on
+    the declaration node."""
+    flags = decl.__dict__.get("_body_flags")
+    if flags is None:
+        nested = list(_nested(decl.body.statements))
+        flags = decl._body_flags = (
+            any(isinstance(stmt, _LOOPS) for stmt in nested),
+            any(map(_declares_in_group, nested)),
+        )
+    return flags
 
 
 def _declares_in_group(stmt: ast.Stmt) -> bool:

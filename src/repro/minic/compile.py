@@ -18,7 +18,10 @@ not a backend of its own: the ``source`` backend (`repro.minic.codegen`)
 closure-lowers the functions it does not emit (a variant's fresh
 loop-free declarations, dynamic-fallback functions) and the statements
 of a resumed in-flight call, and :class:`ClosureInterpreter` runs it on
-whole programs for the tests.
+whole programs for the tests.  Each statement's closure is cached on its
+AST node under the program's :func:`environment_key`, and call sites
+find their callee in the executing interpreter's table when the call
+runs, so the statements a campaign's variants share are lowered once.
 
 Lowering conventions:
 
@@ -159,24 +162,91 @@ _PORT_WRITES = {
 }
 
 
+def _type_key(ctype: CType | None) -> str:
+    return "?" if ctype is None else ctype.describe()
+
+
+def _signature_key(decl: ast.FuncDecl) -> tuple:
+    return (
+        _type_key(decl.return_type),
+        tuple(_type_key(param.ctype) for param in decl.params),
+        decl.variadic,
+    )
+
+
+def environment_key(program: CompiledProgram) -> tuple:
+    """What lowering or emitting a checked declaration may depend on
+    beyond its own AST: every defined function's signature and every
+    global's type.  Computed once per program.
+
+    Sema annotations of an unchanged statement are a function of the
+    statement, its local scope and this environment, and the compile
+    cache shares a statement only where its local scope is unchanged
+    (`repro.minic.incremental`), so code cached on a shared node under
+    this key serves every program with an equal key.
+    """
+    key = program.__dict__.get("_environment_key")
+    if key is None:
+        decls = program.unit.decls
+        functions = {
+            decl.name: decl
+            for decl in decls
+            if isinstance(decl, ast.FuncDecl) and decl.body is not None
+        }
+        global_types = {
+            decl.name: decl.var_type
+            for decl in decls
+            if isinstance(decl, ast.GlobalDecl)
+        }
+        key = program._environment_key = (
+            tuple(
+                sorted(
+                    (name, _signature_key(decl))
+                    for name, decl in functions.items()
+                )
+            ),
+            tuple(
+                sorted(
+                    (name, _type_key(ctype))
+                    for name, ctype in global_types.items()
+                )
+            ),
+        )
+    return key
+
+
+def program_lowerer(program: CompiledProgram) -> "_Lowerer":
+    """The program's one :class:`_Lowerer`, built on first use."""
+    lowerer = program.__dict__.get("_lowerer")
+    if lowerer is None:
+        lowerer = program._lowerer = _Lowerer(program)
+    return lowerer
+
+
 class _Lowerer:
-    """Lower one translation unit's function bodies into closures."""
+    """Lower one translation unit's function bodies into closures.
+
+    Each statement's closure is cached on its node under the program's
+    :func:`environment_key`, so a node shared by several programs (the
+    compile cache's splices share every statement outside an edit) is
+    lowered once per environment.  A cached closure holds no program's
+    state: call sites look the callee up in the executing interpreter's
+    table (``rt._compiled``) when the call runs.
+    """
 
     def __init__(self, program: CompiledProgram):
-        self.program = program
         self.function_decls = {
             decl.name: decl
             for decl in program.unit.decls
             if isinstance(decl, ast.FuncDecl) and decl.body is not None
         }
-        #: name -> compiled body; populated before any closure runs, so
-        #: call sites may close over the dict and late-bind by name.
-        self.compiled: dict[str, Callable] = {}
+        self.key = environment_key(program)
 
     def lower_unit(self) -> dict[str, Callable]:
-        for name, decl in self.function_decls.items():
-            self.compiled[name] = self._lower_function(decl)
-        return self.compiled
+        return {
+            name: self._lower_function(decl)
+            for name, decl in self.function_decls.items()
+        }
 
     # -- functions ---------------------------------------------------------
 
@@ -224,6 +294,15 @@ class _Lowerer:
     # -- statements --------------------------------------------------------
 
     def _lower_stmt(self, stmt: ast.Stmt) -> StmtFn:
+        """The statement's closure, cached on its node under ``self.key``."""
+        cached = stmt.__dict__.get("_closure")
+        if cached is not None and cached[0] == self.key:
+            return cached[1]
+        fn = self._lower_node(stmt)
+        stmt._closure = (self.key, fn)
+        return fn
+
+    def _lower_node(self, stmt: ast.Stmt) -> StmtFn:
         """One statement closure, ``Interpreter._exec`` prologue fused in."""
         origins = stmt.origins
 
@@ -975,8 +1054,6 @@ class _Lowerer:
 
             return call_undefined
 
-        compiled = self.compiled  # late-bound: filled before execution
-
         def call_function(rt):
             rt.steps = steps = rt.steps + 1
             if steps > rt.step_budget:
@@ -987,7 +1064,7 @@ class _Lowerer:
                 value.copy() if value.__class__ is CStructValue else value
                 for value in [fn(rt) for fn in arg_fns]
             ]
-            return compiled[name](rt, prepared)
+            return rt._compiled[name](rt, prepared)
 
         return call_function
 
@@ -1960,30 +2037,9 @@ def compiled_functions(program: CompiledProgram) -> dict[str, Callable]:
     """Lowered function bodies for ``program``, cached on the program."""
     cached = getattr(program, "_closure_functions", None)
     if cached is None:
-        cached = _Lowerer(program).lower_unit()
+        cached = program_lowerer(program).lower_unit()
         program._closure_functions = cached
     return cached
-
-
-class _LateBoundCalls(dict):
-    """Function table whose entries dispatch through the *executing*
-    interpreter's own compiled table.
-
-    Resume-lowered statements (``_exec_resumed``) are cached on shared
-    AST nodes, so their call sites cannot close over any one program's
-    or backend's table; these dispatchers look it up per call instead.
-    """
-
-    def __missing__(self, name):
-        def dispatch(rt, args):
-            return rt._compiled[name](rt, args)
-
-        self[name] = dispatch
-        return dispatch
-
-
-#: The shared table resume-lowered call sites bind against.
-_RESUME_CALLS = _LateBoundCalls()
 
 
 class ClosureInterpreter(Interpreter):
@@ -2022,29 +2078,14 @@ class ClosureInterpreter(Interpreter):
         # lowered call prologue is step-for-step the walker's.
         return self._compiled[decl.name](self, args)
 
-    #: Lazy per-interpreter lowerer for resumed statements (class
-    #: sentinel; instances build their own on first resume).
-    _resume_lowerer = None
-
     def _exec_resumed(self, stmt):
         # Fresh statements in a resumed in-flight call run lowered, so a
         # mutant's budget-burning loop reached through a sub-call
-        # checkpoint stays at backend speed.  The lowering is cached on
-        # the AST node: compile-cache splices share unmutated
-        # declarations' nodes across a whole campaign, and the lowered
-        # call sites dispatch through ``rt._compiled`` (see
-        # ``_RESUME_CALLS``), so one lowering serves every mutant and
-        # every compiled backend.
-        fn = getattr(stmt, "_resume_lowered", None)
-        if fn is None:
-            lowerer = self._resume_lowerer
-            if lowerer is None:
-                lowerer = _Lowerer(self.program)
-                lowerer.compiled = _RESUME_CALLS
-                self._resume_lowerer = lowerer
-            fn = lowerer._lower_stmt(stmt)
-            stmt._resume_lowered = fn
-        fn(self)
+        # checkpoint stays at backend speed.  The closures come from the
+        # node cache every lowering shares (see ``_Lowerer``), so a
+        # statement the compile cache shares across a campaign's
+        # variants is lowered once per environment.
+        program_lowerer(self.program)._lower_stmt(stmt)(self)
 
 
 #: Named backends: "tree", the reference walker, and "source", the fast

@@ -31,24 +31,32 @@ carry equal locations and macro sites, hence equal origins.
 
 Reused nodes are shared with the baseline, never copied (a copy would
 carry the node-attached caches described next) and never mutated by the
-parser.  Two things are cached *on* shared nodes, and both are only
+parser.  Three things are cached *on* shared nodes, and all are only
 valid while every name a reused statement references keeps its type:
-sema's ``ctype`` annotations (re-written when the fresh function is
-checked) and the resume lowerings of the ``source`` backend
-(``Stmt._resume_lowered``).  So a re-parsed declaration that reused
-anything is compared with the baseline's on its return type, parameters
-and ordered local declarations with their scope nesting
+sema's ``ctype`` annotations, the diagnostics the baseline's check of
+each statement emitted (``Stmt._sema_diagnostics``) and the statement
+closures of the ``source`` backend's lowering (``Stmt._closure``, keyed
+by `repro.minic.compile.environment_key`).  So a re-parsed declaration
+that reused anything is compared with the baseline's on its return type,
+parameters and ordered local declarations with their scope nesting
 (:func:`_scope_shape`); if they differ (``int t;`` → ``u8 t;``), the
 declaration is parsed again with nothing to reuse.  That parse — the
 same parser with an empty reuse table — is also how the baseline itself
 is parsed.
 
-Semantic analysis still runs over the full spliced unit (it is cheap and
-its diagnostics order must match a from-scratch compile).  Correctness
-falls back to a full compile whenever splicing cannot be proven safe:
-multi-file programs, re-parsed ranges containing ``typedef``/``struct``
-declarations (their parse mutates shared registries), or a diff that
-reaches outside the recorded declaration spans.
+Semantic analysis checks only what was re-parsed.  The declare pass runs
+over the whole spliced unit; when its global environment equals the
+baseline's, an untouched declaration replays its baseline diagnostics,
+and a re-parsed one is checked with each shared statement replaying the
+diagnostics the baseline recorded on it for the same loop/switch context
+(local declarations, which declare into the scope, are always checked).
+Otherwise every declaration is checked, as ``compile_program`` checks
+it.  Replay emits each diagnostic where the check would have, so the
+order matches a from-scratch compile.  Correctness falls back to a full
+compile whenever splicing cannot be proven safe: multi-file programs,
+re-parsed ranges containing ``typedef``/``struct`` declarations (their
+parse mutates shared registries), or a diff that reaches outside the
+recorded declaration spans.
 
 The cache-correctness tests assert byte-identical results (diagnostics,
 ASTs, AST-derived outcomes, steps and coverage) between this path and
@@ -273,16 +281,17 @@ class CampaignCompiler:
     The baseline source is compiled once with full bookkeeping, which
     includes every statement's token span and nodes.  Each call to
     :meth:`compile_variant` then pays only for the mutated line's lex,
-    the token diff, the re-parse of the touched declaration(s) and a
-    full (cheap) semantic pass.  That re-parse reuses the baseline's
-    statement nodes wherever the statement and its one lookahead token
-    lie outside the changed run, so it parses only the edited
-    statements and the headers enclosing them.  A declaration whose
-    re-parse changes its return type, parameters or local declarations
-    is parsed again with nothing reused: sema annotations and resume
-    lowerings cached on shared nodes hold only while every name keeps
-    its type.  Results — including raised ``CompileError`` diagnostics
-    and the ASTs themselves — are identical to
+    the token diff, the re-parse of the touched declaration(s), the
+    declare pass and the check of the re-parsed statements.  That
+    re-parse reuses the baseline's statement nodes wherever the
+    statement and its one lookahead token lie outside the changed run,
+    so it parses only the edited statements and the headers enclosing
+    them.  A declaration whose re-parse changes its return type,
+    parameters or local declarations is parsed again with nothing
+    reused: the annotations, diagnostics and closures cached on shared
+    nodes hold only while every name keeps its type.  Results —
+    including raised ``CompileError`` diagnostics and the ASTs
+    themselves — are identical to
     ``compile_program([SourceFile(name, text)], registry)``, and the
     baseline's AST stays equal to a fresh compile of the baseline.
     """
@@ -759,9 +768,10 @@ class CampaignCompiler:
     # -- incremental semantic analysis ------------------------------------
 
     def _sema_baseline(self, unit: ast.TranslationUnit) -> CompiledProgram:
-        """Full baseline sema, caching per-declaration diagnostics."""
+        """Full baseline sema, caching per-declaration diagnostics, and
+        per-statement ones on the statement nodes (:class:`_RecordingSema`)."""
         sink = DiagnosticSink()
-        sema = Sema(unit, sink)
+        sema = _RecordingSema(unit, sink)
         sema.declare_all()
         for decl in unit.decls:
             decl_sink = DiagnosticSink()
@@ -782,19 +792,25 @@ class CampaignCompiler:
     def _variant_sema(
         self, unit: ast.TranslationUnit, fresh_ids: set[int]
     ) -> CompiledProgram:
-        """Semantic pass re-checking only the re-parsed declarations.
+        """Semantic pass re-checking only the re-parsed statements.
 
         Sound because sema annotations and diagnostics of a declaration
         are a function of (its AST, the post-declare global environment):
         the declare pass runs for real on the variant unit, and when its
         environment equals the baseline's, untouched declarations keep
         their baseline annotations and replay their cached diagnostics.
+        Inside a re-parsed declaration, a statement shared with the
+        baseline replays the diagnostics the baseline's check recorded on
+        it, when it sits in the same loop/switch context
+        (:class:`_ReplayingSema`): its local scope is the baseline's
+        (:func:`_scope_shape`), and its whole subtree is the baseline's.
         An environment change (e.g. a mutated signature) re-checks every
-        declaration, exactly like ``compile_program``.  Diagnostics are
-        location-sorted by the sink, so replay order cannot reorder them.
+        declaration, exactly like ``compile_program``.  Replay emits each
+        statement's diagnostics where its check would, so the sink's
+        location sort sees the same sequence.
         """
         sink = DiagnosticSink()
-        sema = Sema(unit, sink)
+        sema = _ReplayingSema(unit, sink)
         sema.declare_all()
         if sema.environment_summary() != self._sema_env:
             self.stats["sema_full"] += 1
@@ -808,6 +824,7 @@ class CampaignCompiler:
             # the baseline's (an environment-changing variant may have
             # overwritten them since).
             self._ensure_baseline_annotations()
+            sema.replay = True
             for decl in unit.decls:
                 cached = (
                     None
@@ -838,6 +855,61 @@ class CampaignCompiler:
         if self._annotations_dirty:
             _run_sema(self.baseline_program.unit)
             self._annotations_dirty = False
+
+
+def _context(sema: Sema) -> tuple[bool, bool]:
+    """What a statement's check reads beyond its local scope and the
+    global environment: whether it sits inside a loop (``break`` and
+    ``continue``), and whether inside a ``switch`` (``break``)."""
+    return sema._loop_depth > 0, sema._switch_depth > 0
+
+
+class _RecordingSema(Sema):
+    """The baseline's sema: records on every statement node the
+    diagnostics its check emitted, nested statements' included, with
+    the context they depend on (:func:`_context`).
+
+    A statement whose check declares into the enclosing scope (a local
+    declaration, also as the unbraced arm of an ``if`` or loop) gets no
+    record: its check must run in every variant.
+    """
+
+    def _check_stmt(self, stmt: ast.Stmt) -> None:
+        context = _context(self)
+        mark = len(self.sink)
+        super()._check_stmt(stmt)
+        if not _declares_into_scope(stmt):
+            stmt._sema_diagnostics = (context, self.sink.emitted_since(mark))
+
+
+class _ReplayingSema(Sema):
+    """A variant's sema: once ``replay`` is set, a statement carrying a
+    baseline record for its current context replays those diagnostics
+    instead of being checked (see ``CampaignCompiler._variant_sema``)."""
+
+    replay = False
+
+    def _check_stmt(self, stmt: ast.Stmt) -> None:
+        if self.replay:
+            record = stmt.__dict__.get("_sema_diagnostics")
+            if record is not None and record[0] == _context(self):
+                self.sink.extend(record[1])
+                return
+        super()._check_stmt(stmt)
+
+
+def _declares_into_scope(stmt: ast.Stmt | None) -> bool:
+    """Whether checking ``stmt`` declares a name into the enclosing scope
+    (blocks, ``for`` and ``switch`` open a scope of their own)."""
+    if isinstance(stmt, ast.LocalDecl):
+        return True
+    if isinstance(stmt, ast.If):
+        return _declares_into_scope(stmt.then) or _declares_into_scope(
+            stmt.otherwise
+        )
+    if isinstance(stmt, (ast.While, ast.DoWhile)):
+        return _declares_into_scope(stmt.body)
+    return False
 
 
 def _run_sema(unit: ast.TranslationUnit) -> CompiledProgram:

@@ -85,15 +85,21 @@ class FuncSymbol:
     decl: ast.FuncDecl | None = None
 
 
+#: The builtins' symbols, built once and shared by every :class:`Sema`'s
+#: function table: ``_declare_function`` returns before it would change a
+#: builtin's symbol, so none is ever mutated.
+_BUILTIN_FUNCTIONS: dict[str, FuncSymbol] = {
+    name: FuncSymbol(name, ftype, defined=True, builtin=True)
+    for name, ftype in BUILTIN_SIGNATURES.items()
+}
+
+
 class Sema:
     def __init__(self, unit: ast.TranslationUnit, sink: DiagnosticSink):
         self.unit = unit
         self.sink = sink
         self.globals: dict[str, VarSymbol] = {}
-        self.functions: dict[str, FuncSymbol] = {
-            name: FuncSymbol(name, ftype, defined=True, builtin=True)
-            for name, ftype in BUILTIN_SIGNATURES.items()
-        }
+        self.functions: dict[str, FuncSymbol] = dict(_BUILTIN_FUNCTIONS)
         self.scopes: list[dict[str, VarSymbol]] = []
         self.current_return: CType = VOID
         self._loop_depth = 0

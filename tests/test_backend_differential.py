@@ -258,15 +258,19 @@ def test_checkpointed_campaign_lowers_switch_local_functions_alone(monkeypatch):
 
     Nothing lowers a whole program: the ``branchy`` scenario's
     switch-local function is lowered alone into each variant's table,
-    and the campaign's rows equal the tree walker's.
+    and the campaign's rows equal the tree walker's.  Its statements
+    the variants share with the baseline are lowered once per
+    environment key: every later variant takes their closures from the
+    node cache.
     """
     scenario = build_scenario("branchy", 5)
     flagged = _switch_local_functions(
         compile_program([SourceFile(scenario.filename, scenario.source)])
     )
     assert flagged
-    whole, single = [], []
+    whole, single, statements, compilers = [], [], [], []
     lower_unit, lower_function = _Lowerer.lower_unit, _Lowerer._lower_function
+    lower_node, init = _Lowerer._lower_node, CampaignCompiler.__init__
 
     def counting_lower_unit(self):
         whole.append(self)
@@ -276,11 +280,31 @@ def test_checkpointed_campaign_lowers_switch_local_functions_alone(monkeypatch):
         single.append(decl.name)
         return lower_function(self, decl)
 
+    def counting_lower_node(self, stmt):
+        statements.append((stmt, self.key))
+        return lower_node(self, stmt)
+
+    def capturing_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        compilers.append(self)
+
     monkeypatch.setattr(_Lowerer, "lower_unit", counting_lower_unit)
     monkeypatch.setattr(_Lowerer, "_lower_function", counting_lower_function)
+    monkeypatch.setattr(_Lowerer, "_lower_node", counting_lower_node)
+    monkeypatch.setattr(CampaignCompiler, "__init__", capturing_init)
     fast = run_scenario_campaign(scenario, fraction=0.2, backend="source")
     assert whole == []
     assert set(flagged) & set(single)
+    (compiler,) = compilers
+    shared = {
+        id(stmt)
+        for decl in compiler.baseline_program.unit.decls
+        if isinstance(decl, ast.FuncDecl) and decl.name in flagged
+        for stmt in codegen._nested(decl.body.statements)
+    }
+    lowerings = [(id(stmt), key) for stmt, key in statements if id(stmt) in shared]
+    assert lowerings
+    assert len(set(lowerings)) == len(lowerings)
     reference = run_scenario_campaign(scenario, fraction=0.2, backend="tree")
     assert fast.checkpoint_stats["resumed_subcall"] > 0
     assert fast.results == reference.results

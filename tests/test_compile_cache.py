@@ -20,11 +20,14 @@ text and runs the baseline's code object with its own values.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
 from conftest import INTERPRETERS, boot_report_view
 
+from repro.devil import compile_spec
 from repro.diagnostics import CompileError
 from repro.drivers import assemble_c_program, assemble_cdevil_program
 from repro.hw import IOBus, standard_pc
@@ -36,21 +39,26 @@ from repro.kernel.checkpoint import (
 from repro.kernel.kernel import DEFAULT_STEP_BUDGET, boot
 from repro.kernel.outcomes import BootOutcome
 from repro.minic import ast, codegen
-from repro.minic.compile import _Lowerer, interpreter_for
+from repro.minic.compile import _Lowerer, environment_key, interpreter_for
 from repro.minic.incremental import CampaignCompiler
 from repro.minic.program import SourceFile, compile_program
+from repro.minic.sema import Sema
 from repro.mutation.generator import enumerate_c_mutants
 from repro.mutation.model import Mutant, MutationSite
-from repro.mutation.runner import MutantTarget, build_c_pools, prepare_campaign
+from repro.mutation.runner import (
+    MutantTarget,
+    assemble_driver,
+    build_c_pools,
+    prepare_campaign,
+)
 from repro.mutation.sampling import sample_mutants
 from repro.mutation.tagging import Region
 from repro.scenarios.corpus import PROFILE_ORDER, build_scenario
+from repro.specs import load_spec_source
 
 
 def _diagnostic_view(error: CompileError):
-    return [
-        (d.code, d.location.line, d.location.column) for d in error.diagnostics
-    ]
+    return [(d.code, d.message, d.location) for d in error.diagnostics]
 
 
 def _compare_compile(compiler, driver, registry, text):
@@ -288,6 +296,77 @@ def test_changed_local_type_falls_back_to_parsing_everything():
     _assert_baseline_pristine(compiler, driver, registry, source)
 
 
+# -- statement-level sema replay -------------------------------------------------
+
+
+#: ``LOOP`` -> ``COND`` turns the loop into an ``if``; the body block
+#: starts on the next line, outside the edited line, so it is shared.
+_LOOP_SWAP = """\
+#define LOOP while
+#define COND if
+
+int drain(int x)
+{
+    LOOP (x)
+    {
+        x = x - 1;
+        break;
+    }
+    return x;
+}
+"""
+
+
+def test_shared_break_left_outside_any_loop_is_checked_again():
+    """The shared block's record says "no diagnostics, inside a loop";
+    under the ``if`` it sits outside every loop, so it is checked again
+    and its ``break`` raises what ``compile_program`` raises."""
+    compiler = CampaignCompiler("swap.c", _LOOP_SWAP, {})
+    text = _LOOP_SWAP.replace("LOOP (x)", "COND (x)")
+    with pytest.raises(CompileError) as full:
+        compile_program([SourceFile("swap.c", text)])
+    with pytest.raises(CompileError) as fast:
+        compiler.compile_variant(text)
+    assert _diagnostic_view(fast.value) == _diagnostic_view(full.value)
+    assert [d.code for d in fast.value.diagnostics] == ["c-operand"]
+    assert compiler.stats["sema_reused"] == 1
+    assert compiler.stats["statements_reused"] > 0
+
+
+_NO_EFFECT = """\
+int settle(int x)
+{
+    x = x + 2;
+    x == 1;
+    return x;
+}
+"""
+
+
+def test_shared_statement_replays_its_warning(monkeypatch):
+    """``x == 1;`` follows the edited line, so the re-parsed function
+    shares it; its ``c-noeffect`` warning comes from the baseline's
+    record, message and location included, without checking it again."""
+    compiler = CampaignCompiler("noeffect.c", _NO_EFFECT, {})
+    shared = _function(compiler.baseline_program.unit, "settle").body.statements[1]
+    checked = []
+    check_stmt = Sema._check_stmt
+
+    def spying_check_stmt(self, stmt):
+        checked.append(stmt)
+        return check_stmt(self, stmt)
+
+    monkeypatch.setattr(Sema, "_check_stmt", spying_check_stmt)
+    text = _NO_EFFECT.replace("x + 2", "x + 3")
+    variant = compiler.compile_variant(text)
+    full = compile_program([SourceFile("noeffect.c", text)])
+    assert _function(variant.unit, "settle").body.statements[1] is shared
+    assert variant.warnings == full.warnings
+    assert [d.code for d in variant.warnings] == ["c-noeffect"]
+    assert checked and not any(stmt is shared for stmt in checked)
+    assert variant.unit == full.unit
+
+
 def _nodes(node):
     """Every AST node below (and including) ``node``."""
     yield node
@@ -298,13 +377,14 @@ def _nodes(node):
                 yield from _nodes(child)
 
 
-def test_interleaved_variants_share_resume_lowerings_safely():
+def test_interleaved_variants_share_resume_lowerings_safely(monkeypatch):
     """Edit A, the baseline, edit B: identical boots on every backend.
 
     The checkpointed resumes run the shared statements after the edit
-    through lowerings cached on those (shared) nodes.
+    through closures cached on those (shared) nodes.
     """
     source, driver, registry, compiler = _fresh_c_compiler()
+    lowered = _count_lowered_statements(monkeypatch)
     plan = record_plan(
         compiler.baseline_program,
         standard_pc(with_busmouse=False),
@@ -335,11 +415,26 @@ def test_interleaved_variants_share_resume_lowerings_safely():
         )
         assert boot_report_view(resumed) == boot_report_view(cold)
     assert resumed_midcall
-    # ``return 0;`` ran resumed in both edits' boots, from one lowering
+    # ``return 0;`` ran resumed in both edits' boots, from one closure
     # cached on the node every variant shares with the baseline.
     shared_return = _function(compiler.baseline_program.unit, "ide_read").body.statements[-1]
-    assert getattr(shared_return, "_resume_lowered", None) is not None
+    key, _ = shared_return.__dict__["_closure"]
+    assert key == environment_key(compiler.baseline_program)
+    assert sum(node is shared_return for node in lowered) == 1
     _assert_baseline_pristine(compiler, driver, registry, source)
+
+
+def _count_lowered_statements(monkeypatch) -> list:
+    """The statement nodes closure-lowered from now on (node-cache misses)."""
+    lowered: list = []
+    lower_node = _Lowerer._lower_node
+
+    def counting_lower_node(self, stmt):
+        lowered.append(stmt)
+        return lower_node(self, stmt)
+
+    monkeypatch.setattr(_Lowerer, "_lower_node", counting_lower_node)
+    return lowered
 
 
 def _mutant(setup, needle, old, new, kind="literal"):
@@ -406,6 +501,62 @@ def test_checkpointed_variant_compiles_only_its_own_function(
     _, stats = target.evaluate(_mutant(setup, "lba >> 8", "8", "9"))  # hd_out
     assert stats["resumed_subcall"] == 1
     assert (lowered, compiled) == (["hd_out"], [])
+
+
+def _track_variants(monkeypatch, keep=lambda program: program) -> list:
+    """``keep`` of each program ``CampaignCompiler.compile_variant``
+    returns from now on, the baseline program excepted."""
+    programs: list = []
+    compile_variant = CampaignCompiler.compile_variant
+
+    def tracking_compile_variant(self, text):
+        program = compile_variant(self, text)
+        if program is not self.baseline_program:
+            programs.append(keep(program))
+        return program
+
+    monkeypatch.setattr(CampaignCompiler, "compile_variant", tracking_compile_variant)
+    return programs
+
+
+def test_second_loop_free_variant_lowers_only_its_reparsed_statements(
+    warm_c_target, monkeypatch
+):
+    """Two edits of one ``hd_out`` statement: the first variant lowers
+    the function's shared statements onto their nodes, so the second
+    lowers only the two statements its compile re-parsed."""
+    setup, target = warm_c_target
+    variants = _track_variants(monkeypatch)
+    lowered = _count_lowered_statements(monkeypatch)
+    target.evaluate(_mutant(setup, "lba >> 8", "8", "9"))
+    lowered.clear()
+    target.evaluate(_mutant(setup, "lba >> 8", "8", "10"))
+    baseline_fn = _function(setup.compiler.baseline_program.unit, "hd_out")
+    shared = {id(node) for node in _nodes(baseline_fn)}
+    reparsed = [
+        stmt
+        for stmt in _function(variants[-1].unit, "hd_out").body.statements
+        if id(stmt) not in shared
+    ]
+    assert len(reparsed) == 2
+    assert [id(stmt) for stmt in lowered] == [id(stmt) for stmt in reparsed]
+
+
+def test_variant_programs_do_not_outlive_their_boots(monkeypatch):
+    """Closures and diagnostics cached on shared nodes hold no variant's
+    program: after a run of variants, resumed boots included, a
+    collection frees every one of them."""
+    setup = prepare_campaign("c")
+    target = MutantTarget(setup, backend="source")
+    target.warm()
+    programs = _track_variants(monkeypatch, weakref.ref)
+    resumed = 0
+    for mutant in setup.mutants[::50]:
+        _, stats = target.evaluate(mutant)
+        resumed += (stats or {}).get("resumed_subcall", 0)
+    gc.collect()
+    assert resumed > 0 and len(programs) > 50
+    assert [ref for ref in programs if ref() is not None] == []
 
 
 # -- the code cache --------------------------------------------------------------
@@ -591,3 +742,33 @@ def test_table3_sample_splices_to_identical_asts(c_setup):
         _compare_compile(compiler, driver, registry, mutant.apply(source))
     assert compiler.stats["statements_reused"] > 0
     _assert_baseline_pristine(compiler, driver, registry, source)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("driver", ["c", "cdevil"])
+def test_every_table_variant_compiles_as_from_scratch(driver):
+    """Every mutant of the Table 3 (``c``) and Table 4 (``cdevil``)
+    driver files, the whole ``cdevil`` file and not only the stub call
+    sites Table 4 mutates, compiled in source order through one compile
+    cache: ASTs, warnings and diagnostics (code, message, location)
+    equal ``compile_program``'s, whatever the cache shared, replayed or
+    lowered before."""
+    files, registry, driver_filename = assemble_driver(driver, "debug")
+    source = files[0].text
+    compiler = CampaignCompiler(driver_filename, source, registry)
+    api_spec = (
+        compile_spec(load_spec_source("ide_piix4")) if driver == "cdevil" else None
+    )
+    mutants = enumerate_c_mutants(
+        source,
+        driver_filename,
+        build_c_pools(files, registry, driver_filename, api_spec=api_spec),
+        include_registry=registry,
+        compiler=compiler,
+    )
+    assert len(mutants) > 3000
+    for mutant in mutants:
+        _compare_compile(compiler, driver_filename, registry, mutant.apply(source))
+    assert compiler.stats["sema_reused"] > 0
+    assert compiler.stats["statements_reused"] > 0
+    _assert_baseline_pristine(compiler, driver_filename, registry, source)
