@@ -2,8 +2,8 @@
 
 `repro.distributed` made campaigns parallel but paid a fixed cost per
 shard *process*: a fresh interpreter, a plan load, a baseline recompile.
-On the committed benchmark that fixed cost swamped small slices — four
-shards ran the sampled campaign at 0.4× the serial checkpointed speed.
+On a sampled Table 3 campaign that fixed cost swamped small slices —
+four shards ran it at 0.4× the serial checkpointed speed.
 :class:`Engine` removes the per-campaign process cost entirely:
 
 * **pre-forked worker pool, warmed once** — the parent builds the warm
@@ -115,6 +115,14 @@ def _pool_context(start_method: str | None = None):
         return multiprocessing.get_context("spawn")
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, not the host."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 def _load_test_hook():
     """Resolve the eval hook for this worker process, if any."""
     if _TEST_EVAL_HOOK is not None:
@@ -197,13 +205,15 @@ class _Lease:
 class Engine:
     """A resident pool of warm workers serving campaign requests.
 
-    ``warm`` lists requests (or :class:`WarmSpec`\\ s) whose state is
-    built before the pool forks — the zero-cost inheritance path.
-    Requests submitted later warm on first use.  ``scheduler_factory``
-    (``(total, worker_count) -> scheduler``) replaces the default
-    :class:`StealScheduler`; ``start_method`` forces a multiprocessing
-    start method (default: ``REPRO_MP_START_METHOD``, else ``fork``
-    where available).  ``supervision`` is a
+    ``workers`` defaults to the CPUs this process may run on (its
+    affinity mask).  ``warm`` lists requests (or :class:`WarmSpec`\\ s)
+    whose state is built before the pool forks — the zero-cost
+    inheritance path.  Requests submitted later warm on first use.
+    ``scheduler_factory`` (``(total, worker_count) -> scheduler``)
+    replaces the default :class:`StealScheduler`; ``start_method``
+    forces a multiprocessing start method (default:
+    ``REPRO_MP_START_METHOD``, else ``fork`` where available).
+    ``supervision`` is a
     `~repro.engine.supervision.SupervisionPolicy` (default: built from
     the ``REPRO_ENGINE_*`` environment); pass
     ``SupervisionPolicy.disabled()`` for the pre-supervision behaviour
@@ -224,9 +234,11 @@ class Engine:
         supervision: SupervisionPolicy | None = None,
         close_timeout: float = 10.0,
     ):
-        self.workers = workers or multiprocessing.cpu_count()
-        if self.workers < 1:
-            raise ValueError(f"workers {self.workers} must be >= 1")
+        if workers is None:
+            workers = _usable_cpus()
+        if workers < 1:
+            raise ValueError(f"workers {workers} must be >= 1")
+        self.workers = workers
         self._warm_requests = tuple(warm)
         self._scheduler_factory = scheduler_factory
         self._lease_size = lease_size

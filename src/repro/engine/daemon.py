@@ -201,8 +201,15 @@ def serve(
     ``ready()`` (if given) is called once the engine is warm.  A live
     daemon already serving ``socket_path`` raises :class:`EngineError`
     instead of being silently displaced; only stale sockets are
-    reclaimed (:func:`_claim_socket_path`).
+    reclaimed (:func:`_claim_socket_path`).  An invalid worker count
+    raises before the socket is bound.
     """
+    engine = Engine(
+        workers=workers,
+        warm=warm,
+        start_method=start_method,
+        supervision=supervision,
+    )
     _claim_socket_path(socket_path)
     server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     # The socket file is created by bind() with the process umask; bind
@@ -221,12 +228,6 @@ def serve(
         signum: signal.signal(signum, _terminate)
         for signum in (signal.SIGTERM, signal.SIGINT)
     }
-    engine = Engine(
-        workers=workers,
-        warm=warm,
-        start_method=start_method,
-        supervision=supervision,
-    )
     try:
         engine.start()
         if ready is not None:

@@ -32,6 +32,7 @@ from repro.engine import (
     SpecRequest,
     StealScheduler,
     default_lease_size,
+    serve,
 )
 from repro.engine.scheduler import MAX_LEASE
 from repro.engine.state import WarmSpec
@@ -262,6 +263,31 @@ def test_closed_engine_rejects_submissions():
     engine.close()
     with pytest.raises(EngineError, match="closed"):
         engine.submit(PLAIN)
+
+
+def test_default_pool_counts_usable_cpus(monkeypatch):
+    """Unsized, the pool takes the CPUs the process may run on (its
+    affinity mask), not every CPU on the host.  Nothing starts."""
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: {0}, raising=False
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    engine = Engine()
+    assert engine.workers == 1
+    assert not engine._procs
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_engine_rejects_empty_pool(workers):
+    with pytest.raises(ValueError, match=f"workers {workers} must be >= 1"):
+        Engine(workers=workers)
+
+
+def test_serve_rejects_empty_pool_before_binding(tmp_path):
+    path = str(tmp_path / "engine.sock")
+    with pytest.raises(ValueError, match="workers 0 must be >= 1"):
+        serve(path, workers=0)
+    assert not os.path.exists(path)
 
 
 # -- adversarial steal schedules ----------------------------------------------
