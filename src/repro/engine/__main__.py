@@ -89,13 +89,6 @@ def main(argv: list[str] | None = None) -> int:
         help="kill and respawn a worker whose lease runs longer than this "
         "many seconds (default: REPRO_ENGINE_LEASE_TIMEOUT, else off)",
     )
-    server.add_argument(
-        "--no-supervise",
-        dest="supervise",
-        action="store_false",
-        help="disable worker supervision: any worker death aborts the "
-        "campaign (default: REPRO_ENGINE_SUPERVISE)",
-    )
     _request_arguments(server)
     server.add_argument(
         "--no-warm",
@@ -103,7 +96,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_false",
         help="skip pre-warming; state builds on the first submission",
     )
-    server.set_defaults(supervise=None)
 
     submit = commands.add_parser(
         "submit", help="run a driver campaign through a running daemon"
@@ -136,10 +128,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "serve":
         warm = (_request(args),) if args.warm else ()
-        if args.supervise is False:
-            supervision = SupervisionPolicy.disabled()
-        else:
-            supervision = SupervisionPolicy.from_env()
+        supervision = SupervisionPolicy.from_env()
         if args.lease_timeout is not None:
             supervision = dataclasses.replace(
                 supervision, lease_timeout=args.lease_timeout

@@ -215,9 +215,10 @@ class Engine:
     ``REPRO_MP_START_METHOD``, else ``fork`` where available).
     ``supervision`` is a
     `~repro.engine.supervision.SupervisionPolicy` (default: built from
-    the ``REPRO_ENGINE_*`` environment); pass
-    ``SupervisionPolicy.disabled()`` for the pre-supervision behaviour
-    where any worker death aborts the campaign.
+    the ``REPRO_ENGINE_*`` environment).  Supervision is always on: a
+    dead worker is respawned and its leases re-dispatched; pass
+    ``SupervisionPolicy(max_respawns=0)`` to fail the campaign at the
+    first worker death instead.
 
     Use as a context manager, or call :meth:`close` — workers are
     daemonic either way, so an abandoned engine cannot outlive its
@@ -402,35 +403,24 @@ class Engine:
         state = self._warm_parent(spec)
         if self._started and spec not in self._worker_warmed:
             plan_path = self._plan_paths.get(spec)
+            # A stale poison lease (or plain bad luck) can take a worker
+            # down between campaigns.  Its respawn builds every resident
+            # spec — the one being broadcast included, it is already in
+            # ``_states`` — so no acknowledgement is owed.
             pending = []
             for worker_id in range(self.workers):
                 try:
                     self._conns[worker_id].send(("warm", spec, plan_path))
                     pending.append(worker_id)
-                except (BrokenPipeError, OSError) as error:
-                    self._worker_died_warming(worker_id, error)
+                except (BrokenPipeError, OSError):
+                    self._respawn(worker_id)
             for worker_id in pending:
                 try:
                     self._await_warm_ack(worker_id, spec)
-                except (EOFError, OSError) as error:
-                    self._worker_died_warming(worker_id, error)
+                except (EOFError, OSError):
+                    self._respawn(worker_id)
             self._worker_warmed.add(spec)
         return state
-
-    def _worker_died_warming(self, worker_id: int, error) -> None:
-        """A worker died during a warm broadcast: respawn or abort.
-
-        A stale poison lease (or plain bad luck) can take a worker down
-        between campaigns.  Under supervision the respawn builds every
-        resident spec — the one being broadcast included, it is already
-        in ``_states`` — so no acknowledgement is owed.
-        """
-        if not self.supervision.enabled:
-            raise EngineError(
-                "an engine worker died mid-campaign (EOF on its pipe); "
-                "its traceback, if any, preceded this on stderr"
-            ) from error
-        self._respawn(worker_id)
 
     def _await_warm_ack(self, worker_id: int, spec) -> None:
         conn = self._conns[worker_id]
@@ -487,7 +477,7 @@ class Engine:
             # dead workers now, and leave still-running leases on the
             # in-flight ledger — the next submission drains their stale
             # frames instead of merging them.
-            if self.supervision.enabled and not self._closed:
+            if not self._closed:
                 self._repair_pool()
             raise
         return state.target.result(request, results, stats, quarantined)
@@ -565,13 +555,7 @@ class Engine:
                 self._conns[worker_id].send(
                     ("eval", campaign_id, spec, params, seed, indices)
                 )
-            except (BrokenPipeError, OSError) as error:
-                if not policy.enabled:
-                    raise EngineError(
-                        "an engine worker died mid-campaign (EOF on its "
-                        "pipe); its traceback, if any, preceded this on "
-                        "stderr"
-                    ) from error
+            except (BrokenPipeError, OSError):
                 # Dead worker: put the lease back; the death itself is
                 # handled when its sentinel / pipe EOF reports.
                 requeue(indices)
@@ -643,11 +627,6 @@ class Engine:
 
         def fail_worker(worker_id: int, kind: str) -> None:
             nonlocal outstanding, respawns
-            if not policy.enabled:
-                raise EngineError(
-                    "an engine worker died mid-campaign (EOF on its pipe); "
-                    "its traceback, if any, preceded this on stderr"
-                )
             proc = self._procs[worker_id]
             if proc.is_alive():
                 proc.kill()
@@ -720,7 +699,7 @@ class Engine:
                     )
                 continue
             timeout = None
-            if policy.enabled and policy.lease_timeout is not None:
+            if policy.lease_timeout is not None:
                 now = time.monotonic()
                 expired = [
                     worker_id
@@ -747,10 +726,7 @@ class Engine:
                 proc.sentinel: worker_id
                 for worker_id, proc in enumerate(self._procs)
             }
-            waitables = list(self._conns)
-            if policy.enabled:
-                waitables.extend(sentinel_map)
-            ready = connection.wait(waitables, timeout)
+            ready = connection.wait([*self._conns, *sentinel_map], timeout)
             ready_conns = [obj for obj in ready if id(obj) in conn_map]
             ready_sentinels = [
                 obj
@@ -771,11 +747,6 @@ class Engine:
                 if message[0] == "warmed":  # late ack, never expected here
                     raise EngineError("warm acknowledgement during campaign")
                 if message[0] == "error":
-                    if not policy.enabled:
-                        raise EngineError(
-                            f"engine worker {message[1]} failed:\n"
-                            f"{message[2]}"
-                        )
                     print(
                         f"repro-engine worker {message[1]} died evaluating "
                         f"a lease:\n{message[2]}",

@@ -30,13 +30,12 @@ Respawns back off exponentially (``backoff_base`` doubling up to
 ``max_respawns`` is the campaign-level safety valve: exceeding it
 raises `repro.engine.core.EngineError`, which the daemon degrades into
 a typed ``("failed", ...)`` frame rather than a mid-stream disconnect.
+Supervision is always on; ``SupervisionPolicy(max_respawns=0)`` fails
+the campaign at the first worker death.
 
 Environment variables (read by :meth:`SupervisionPolicy.from_env`,
 which `Engine` uses when no explicit policy is passed):
 
-``REPRO_ENGINE_SUPERVISE``
-    ``0``/``false``/``no`` disables supervision entirely — a dead
-    worker aborts the campaign, the seed behaviour.  Default: on.
 ``REPRO_ENGINE_LEASE_TIMEOUT``
     Seconds a worker's oldest in-flight lease may run before the worker
     is killed and the lease re-dispatched.  Unset or ``<= 0``: off.
@@ -57,13 +56,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-
-
-def _env_flag(name: str, default: bool) -> bool:
-    value = os.environ.get(name)
-    if value is None or value == "":
-        return default
-    return value.strip().lower() not in ("0", "false", "no", "off")
 
 
 def _env_float(name: str) -> float | None:
@@ -90,9 +82,6 @@ def _env_int(name: str) -> int | None:
 class SupervisionPolicy:
     """How the engine reacts to crashed, wedged and poisonous workers."""
 
-    #: Master switch: ``False`` restores the abort-on-worker-death
-    #: behaviour (a dead worker raises ``EngineError``).
-    enabled: bool = True
     #: Seconds a worker's *oldest* in-flight lease may run before the
     #: worker is presumed wedged, killed, and its leases re-dispatched.
     #: ``None``: never (the default — timeouts are an opt-in policy).
@@ -103,7 +92,7 @@ class SupervisionPolicy:
     retry_budget: int = 2
     #: Campaign-level respawn budget (``None``: unbounded).  Exceeding
     #: it raises ``EngineError`` — the daemon's ``("failed", ...)``
-    #: degradation path.
+    #: degradation path; ``0`` fails at the first worker death.
     max_respawns: int | None = None
     #: Respawn backoff: ``backoff_base * 2**n`` capped at
     #: ``backoff_cap`` before the (n+1)-th respawn.  Base 0 disables.
@@ -122,17 +111,11 @@ class SupervisionPolicy:
             respawns = None
         backoff = _env_float("REPRO_ENGINE_RESPAWN_BACKOFF")
         return cls(
-            enabled=_env_flag("REPRO_ENGINE_SUPERVISE", True),
             lease_timeout=timeout,
             retry_budget=retry if retry is not None else 2,
             max_respawns=respawns,
             backoff_base=backoff if backoff is not None else 0.05,
         )
-
-    @classmethod
-    def disabled(cls) -> "SupervisionPolicy":
-        """The seed behaviour: any worker death aborts the campaign."""
-        return cls(enabled=False)
 
     def backoff(self, respawn_count: int) -> float:
         """Seconds to pause before respawn number ``respawn_count + 1``."""

@@ -50,17 +50,19 @@ call boundaries alone would cold-boot all of them.  :func:`record_plan`
 therefore records the clean boot on an instrumented tree-walking
 interpreter that also snapshots at **statement boundaries inside each
 driver call** (the one checkpoint granularity, ``"subcall"``): whenever
-the walker is about to execute a depth-1 statement (directly inside the driver
-entry's frame, never mid-expression), at most every ``subcall_interval``
-steps and ``subcall_limit`` times per call, it captures machine +
-interpreter + kernel state *plus* the active frame's locals and a
-statement path addressing the about-to-execute statement
-(`InterpreterSnapshot.frames` / ``.resume``).  Resuming re-enters the
-boot mid-call: the kernel-side call site finishes the in-flight call via
+the walker is about to execute a depth-1 statement (directly inside the
+driver entry's frame, outside every loop body, never mid-expression)
+whose continuation is loop-free (:func:`_continuation_has_loop`), at
+most every ``subcall_interval`` steps and ``subcall_limit`` times per
+call, it captures machine + interpreter + kernel state *plus* the
+active frame's locals and a statement path addressing the
+about-to-execute statement (`InterpreterSnapshot.frames` /
+``.resume``).  Resuming re-enters the boot mid-call: the kernel-side
+call site finishes the in-flight call via
 ``Interpreter.resume_in_flight`` (the restored frame's continuation,
-executed by the tree-walking machinery every backend inherits — fresh
-nested calls still dispatch into the resuming backend's compiled
-bodies), then proceeds exactly as a cold boot would.
+run by the reference walker every backend inherits — fresh nested
+calls still dispatch into the resuming backend's compiled bodies), then
+proceeds exactly as a cold boot would.
 
 The soundness argument extends per *step* instead of per call.  The
 recording walker observes the exact step index at which every line first
@@ -93,13 +95,9 @@ from repro.kernel.kernel import (
 )
 from repro.kernel.outcomes import BootReport
 from repro.minic import ast
+from repro.minic.codegen import _LOOPS, _contains_loop
 from repro.minic.compile import interpreter_for
-from repro.minic.interp import (
-    Interpreter,
-    InterpreterSnapshot,
-    _BreakSignal,
-    _ContinueSignal,
-)
+from repro.minic.interp import Interpreter, InterpreterSnapshot, _BreakSignal
 from repro.minic.program import CompiledProgram
 
 #: The one checkpoint granularity: call boundaries plus statement
@@ -211,24 +209,20 @@ class _RecordingCoverage(set):
 def _continuation_has_loop(body: ast.Block, path: tuple) -> bool:
     """Whether resuming at ``path`` leaves a loop to run *outside* a call.
 
-    The resumed continuation executes statements through the per-
-    statement machinery (`Interpreter._resume_stmt` / ``_exec_resumed``),
-    which is closure-speed at best — fine for straight-line remainders,
-    but a budget-burning mutant loop there would forfeit the source
-    backend's 3x loop speed.  Sub-call snapshots are therefore only
-    taken where the continuation is loop-free at call depth 1: an
-    enclosing loop marker, or any loop among the statements still to run
-    (the leaf included — loops *inside fresh calls* run compiled and
-    don't count), disqualifies the boundary.
+    The resumed continuation runs on the reference walker
+    (`Interpreter._resume_stmt`), whatever the backend: fine for
+    straight-line remainders, but a budget-burning mutant loop there
+    would forfeit the source backend's emitted loops, ~3x faster.
+    Sub-call snapshots are therefore only taken where the statements
+    still to run at call depth 1 (the leaf included) hold no loop; loops
+    *inside fresh calls* run compiled and don't count.  The recorder
+    offers no boundary inside a loop body, so ``path`` holds no loop
+    marker.
     """
-    from repro.minic.codegen import _contains_loop
-
     node = body
     pending: list = []
     for marker in path:
         kind = marker[0]
-        if kind in ("while", "dowhile", "for-init", "for-body"):
-            return True
         if kind == "block":
             index = marker[1]
             pending.extend(node.statements[index + 1 :])
@@ -255,10 +249,13 @@ class _RecordingInterpreter(Interpreter):
     Maintains a statement path (the marker chain ``Interpreter._resume_stmt``
     descends) mirroring the walker's own recursion, the in-flight call's
     name and original arguments, and the switch-dispatch divergence
-    anchors.  ``boundary_hook`` fires before every depth-1 statement —
-    the sub-call snapshot points.  Every override replicates the base
-    walker's step/coverage accounting exactly; the resume-vs-cold
-    bit-identity sweeps assert the replication.
+    anchors.  ``boundary_hook`` fires before every depth-1 statement
+    outside every loop body: the sub-call snapshot points.  A loop
+    statement is one boundary (before it runs); nothing inside it is,
+    a ``for`` initialiser included, so no path holds a loop marker.
+    Every override replicates the base walker's step/coverage accounting
+    exactly; the resume-vs-cold bit-identity sweeps assert the
+    replication.
     """
 
     def __init__(self, *args, **kwargs):
@@ -266,6 +263,10 @@ class _RecordingInterpreter(Interpreter):
         self._path: list = []
         self._call_args: list = []
         self._switch_anchors: dict = {}
+        #: Loop statements executing right now, in every frame; a
+        #: boundary at depth 1 counts only those of the depth-1 frame,
+        #: since deeper frames have returned by then.
+        self._loop_depth = 0
         self.boundary_hook = None
 
     # -- position reporting (consumed by snapshot_state) --------------------
@@ -291,7 +292,7 @@ class _RecordingInterpreter(Interpreter):
 
     def _exec(self, stmt):
         hook = self.boundary_hook
-        if hook is not None and len(self._scopes) == 1:
+        if hook is not None and not self._loop_depth and len(self._scopes) == 1:
             hook(stmt)
         if isinstance(stmt, ast.If):
             # Replicated from Interpreter._exec so the taken branch gets
@@ -313,6 +314,13 @@ class _RecordingInterpreter(Interpreter):
                 finally:
                     path.pop()
             return
+        if isinstance(stmt, _LOOPS):
+            self._loop_depth += 1
+            try:
+                super()._exec(stmt)
+            finally:
+                self._loop_depth -= 1
+            return
         super()._exec(stmt)
 
     def _exec_block(self, block, new_scope: bool = True):
@@ -331,55 +339,6 @@ class _RecordingInterpreter(Interpreter):
             path.pop()
             if new_scope:
                 self._pop_scope()
-
-    def _exec_while(self, stmt):
-        self._path.append(("while",))
-        try:
-            super()._exec_while(stmt)
-        finally:
-            self._path.pop()
-
-    def _exec_do_while(self, stmt):
-        self._path.append(("dowhile",))
-        try:
-            super()._exec_do_while(stmt)
-        finally:
-            self._path.pop()
-
-    def _exec_for(self, stmt):
-        # Replicated from Interpreter._exec_for: the init and body
-        # positions need distinct markers.
-        assert stmt.body is not None
-        self._push_scope()
-        path = self._path
-        try:
-            if stmt.init is not None:
-                path.append(("for-init",))
-                try:
-                    self._exec(stmt.init)
-                finally:
-                    path.pop()
-            path.append(("for-body",))
-            try:
-                while True:
-                    self.consume_steps(1)
-                    self.coverage.update(stmt.origins)
-                    if stmt.cond is not None and not self._truthy(
-                        self._eval(stmt.cond)
-                    ):
-                        return
-                    try:
-                        self._exec(stmt.body)
-                    except _BreakSignal:
-                        return
-                    except _ContinueSignal:
-                        pass
-                    if stmt.step is not None:
-                        self._eval(stmt.step)
-            finally:
-                path.pop()
-        finally:
-            self._pop_scope()
 
     def _exec_switch(self, stmt):
         # Replicated from Interpreter._exec_switch, plus the group/
@@ -442,8 +401,9 @@ def record_plan(
     The boot runs on the instrumented tree walker (exact step indices;
     the snapshots restore into either backend).  It records one
     checkpoint per driver-call boundary, plus snapshots at depth-1
-    statement boundaries inside each call — at most one per
-    ``subcall_interval`` steps and ``subcall_limit`` per call.
+    statement boundaries inside each call whose continuation holds no
+    loop — at most one per ``subcall_interval`` steps and
+    ``subcall_limit`` per call.
 
     ``harness_factory`` swaps the kernel boot harness for another
     workload: called as ``harness_factory(interp, machine)`` it must

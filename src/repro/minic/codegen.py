@@ -45,8 +45,9 @@ dynamic scan — a ``switch`` whose case groups declare locals, where
 jumping into a later group skips the declaration — and a scan before
 emission sends any function containing it to closure lowering, alone
 (the two are bit-identical, so mixing is safe).  A per-call arity guard
-routes calls with unexpected argument counts to that function's closure
-lowering for the same reason.
+routes calls with unexpected argument counts to the function's
+declaration on the reference walker (`Interpreter._call_function`) for
+the same reason.
 
 Literal slots: every integer whose value comes from the program is
 emitted as a name bound next to the constant pool, one per occurrence,
@@ -74,6 +75,9 @@ no loop is closure-lowered instead of emitted (see
 :func:`compiled_source_functions`); closure lowering caches each
 statement's closure on its node under the same environment key, so
 such a declaration lowers only the statements its variant re-parsed.
+Fresh loop-free declarations and switch-local functions are the only
+two routes into closure lowering: a resumed call's continuation and an
+odd-arity call run on the reference walker.
 """
 
 from __future__ import annotations
@@ -119,7 +123,6 @@ from repro.minic.compile import (
     _static_coerce,
     _truthy,
     _wrap_fn,
-    ClosureInterpreter,
     environment_key,
     program_lowerer,
 )
@@ -710,16 +713,16 @@ class _FunctionEmitter:
         constant pool and the slots)."""
         decl = self.decl
         assert decl.body is not None and decl.return_type is not None
-        # The per-program bindings (the function table and the closure
+        # The per-program bindings (the function table and the walker
         # fallback) are closure cells of a factory: instantiating the
         # cached code object for a new program is one call, no exec.
         self.line("def _factory(_FNS, _fb):")
         self.push()
         self.line(f"def {self.pyname}(rt, _args):")
         self.push()
-        # Unexpected arity: closure lowering's zip-binding semantics
-        # (missing params stay unbound) are genuinely dynamic — route the
-        # whole call there.
+        # Unexpected arity: the walker's zip-binding semantics (missing
+        # params stay unbound) are genuinely dynamic — route the whole
+        # call there.
         self.line(f"if len(_args) != {len(decl.params)}:")
         self.push()
         self.line("return _fb(rt, _args)")
@@ -2355,7 +2358,7 @@ def compiled_source_functions(program: CompiledProgram) -> dict[str, Callable]:
     for name, decl in env.function_decls.items():
         entry = decl.__dict__.get("_source_code")
         if entry is not None and entry[0] == env.key:
-            fns[name] = entry[1](fns, _lowered_fallback(program, decl))
+            fns[name] = entry[1](fns, _walked(decl))
             continue
         has_loop, switch_local = _body_flags(decl)
         if switch_local or (id(decl) in program.fresh and not has_loop):
@@ -2374,7 +2377,7 @@ def _emitted_entry(program, name, decl, env, fns) -> Callable:
         if entry is None or entry[0] != env.key:
             entry = (env.key, _emit_decl(program, decl, env))
             decl._source_code = entry
-        compiled = fns[name] = entry[1](fns, _lowered_fallback(program, decl))
+        compiled = fns[name] = entry[1](fns, _walked(decl))
         return compiled(rt, args)
 
     return first_call
@@ -2390,18 +2393,11 @@ def _lowered_entry(program, name, decl, fns) -> Callable:
     return first_call
 
 
-def _lowered_fallback(program, decl) -> Callable:
-    """An emitted function's route for calls of unexpected arity (whose
-    zip-binding of parameters only closure lowering models): ``decl``
-    closure-lowered alone, on the first such call."""
-    lowered: list = []
-
-    def call(rt, args):
-        if not lowered:
-            lowered.append(program_lowerer(program)._lower_function(decl))
-        return lowered[0](rt, args)
-
-    return call
+def _walked(decl) -> Callable:
+    """An emitted function's route for calls of unexpected arity, whose
+    zip-binding of parameters emission does not model: ``decl`` on the
+    reference walker, whose nested calls dispatch back into the table."""
+    return lambda rt, args: Interpreter._call_function(rt, decl, args)
 
 
 # -- the backend ---------------------------------------------------------------
@@ -2439,14 +2435,10 @@ class SourceInterpreter(Interpreter):
 
     def _call_function(self, decl, args):
         # Tree-walked statements (global initialisers, resumed in-flight
-        # calls) dispatch nested calls into the compiled bodies, whose
-        # call prologue is step-for-step the walker's.
+        # calls, odd-arity calls) dispatch nested calls into the
+        # compiled bodies, whose call prologue is step-for-step the
+        # walker's.
         return self._compiled[decl.name](self, args)
-
-    # Fresh statements in a resumed in-flight call run closure-lowered
-    # (source emission is per-function), from the statement closures
-    # cached on their nodes.
-    _exec_resumed = ClosureInterpreter._exec_resumed
 
 
 def _nested(stmts):

@@ -14,12 +14,14 @@ the reference semantics as the fallback.
 Semantics are bit-for-bit those of the tree walker — including step
 accounting, coverage sets, fault messages and classification — which the
 backend-equivalence tests assert on whole driver boots.  The lowering is
-not a backend of its own: the ``source`` backend (`repro.minic.codegen`)
-closure-lowers the functions it does not emit (a variant's fresh
-loop-free declarations, dynamic-fallback functions) and the statements
-of a resumed in-flight call, and :class:`ClosureInterpreter` runs it on
-whole programs for the tests.  Each statement's closure is cached on its
-AST node under the program's :func:`environment_key`, and call sites
+not a backend of its own.  The ``source`` backend (`repro.minic.codegen`)
+reaches it by exactly two routes: a variant's fresh loop-free
+declarations, and functions whose ``switch`` declares a local in a case
+group, each lowered alone by :meth:`_Lowerer._lower_function`.  A
+resumed in-flight call's continuation and an odd-arity call run on the
+reference walker instead.  :class:`ClosureInterpreter` runs the lowering
+on whole programs for the tests.  Each statement's closure is cached on
+its AST node under the program's :func:`environment_key`, and call sites
 find their callee in the executing interpreter's table when the call
 runs, so the statements a campaign's variants share are lowered once.
 
@@ -2078,21 +2080,12 @@ class ClosureInterpreter(Interpreter):
         # lowered call prologue is step-for-step the walker's.
         return self._compiled[decl.name](self, args)
 
-    def _exec_resumed(self, stmt):
-        # Fresh statements in a resumed in-flight call run lowered, so a
-        # mutant's budget-burning loop reached through a sub-call
-        # checkpoint stays at backend speed.  The closures come from the
-        # node cache every lowering shares (see ``_Lowerer``), so a
-        # statement the compile cache shares across a campaign's
-        # variants is lowered once per environment.
-        program_lowerer(self.program)._lower_stmt(stmt)(self)
-
 
 #: Named backends: "tree", the reference walker, and "source", the fast
 #: path (`repro.minic.codegen`, registered when first asked for, which
 #: keeps this module import-light).  :class:`ClosureInterpreter` is not
-#: a backend: the source backend lowers single functions and resumed
-#: statements through this module's lowerer, and tests run it whole.
+#: a backend: the source backend lowers single functions through this
+#: module's lowerer, and tests run it whole.
 BACKENDS = {"tree": Interpreter}
 
 #: Every backend name :func:`interpreter_for` accepts.

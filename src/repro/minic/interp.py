@@ -63,9 +63,10 @@ class InterpreterSnapshot:
 
     Safe points are function-call boundaries (``frames`` empty) and, for
     interpreters that track a statement path (the checkpoint recorder),
-    statement boundaries inside a depth-1 call: ``frames`` then carries
-    the active call's scope chain and ``resume`` the re-entry position
-    consumed by :meth:`Interpreter.resume_in_flight`.
+    statement boundaries inside a depth-1 call, never inside a loop
+    body: ``frames`` then carries the active call's scope chain and
+    ``resume`` the re-entry position consumed by
+    :meth:`Interpreter.resume_in_flight`.
     """
 
     steps: int
@@ -83,8 +84,9 @@ class InterpreterSnapshot:
     frames: tuple = ()
     #: ``(function name, statement path, call arguments)`` re-entry
     #: record for the in-flight call, or ``None`` at a call boundary.
-    #: The path is a tuple of markers addressing the statement about to
-    #: execute (see ``Interpreter._resume_stmt``).
+    #: The path is a tuple of ``block``, ``then``, ``else`` and
+    #: ``switch`` markers addressing the statement about to execute
+    #: (see ``Interpreter._resume_stmt``).
     resume: tuple | None = None
 
 
@@ -319,9 +321,11 @@ class Interpreter:
         execute when the snapshot was taken, so execution continues with
         that statement's own step/coverage accounting — no call-entry
         step, argument coercion or stack-depth check is repeated.  The
-        resumed statements run on the inherited tree-walking machinery;
-        fresh nested calls dispatch through ``_call_function``, which the
-        compiled backends override with their fast paths.
+        statements still to run execute on the reference walker
+        (``_exec``) whatever the backend; fresh nested calls dispatch
+        through ``_call_function``, which the compiled backends override
+        with their fast paths.  A malformed path raises
+        :class:`InterpreterBug` before any statement runs.
         """
         pending = self._pending_resume
         if pending is None:
@@ -346,56 +350,45 @@ class Interpreter:
             return None
         return self._coerce(result if result is not None else 0, decl.return_type)
 
-    def _exec_resumed(self, stmt: ast.Stmt) -> None:
-        """Execute a fresh statement reached by an in-flight resume.
-
-        The base walker just executes it; compiled backends override
-        with their lowered statement bodies, so a resumed boot's
-        remaining work — including a mutant's budget-burning loop —
-        runs at backend speed.
-        """
-        self._exec(stmt)
-
     def _resume_stmt(self, stmt: ast.Stmt, path: tuple) -> None:
         """Descend ``path`` into ``stmt`` and continue execution from there.
 
         An empty path means ``stmt`` is the statement the snapshot was
         taken in front of: it executes fresh (entry step and coverage
         included).  Otherwise the head marker selects the child position
-        inside ``stmt`` — whose own entry accounting already happened in
-        the recorded prefix — and each construct's *continuation* after
-        the resumed child mirrors the corresponding ``_exec_*`` loop
-        exactly.  Scopes on the path were restored with the frame, so
-        the descent only pops them on the way out.
+        inside ``stmt``, whose own entry accounting already happened in
+        the recorded prefix, and the statements after that child run
+        through ``_exec``.  Snapshots are never taken inside a loop
+        body, so only ``block``, ``then``, ``else`` and ``switch``
+        markers occur; any other marker, or one that does not fit its
+        node, raises :class:`InterpreterBug` before a statement runs.
+        Scopes on the path were restored with the frame, so the descent
+        only pops them on the way out.
         """
         if not path:
-            self._exec_resumed(stmt)
+            self._exec(stmt)
             return
         marker, rest = path[0], path[1:]
         kind = marker[0]
-        if kind == "block":
-            assert isinstance(stmt, ast.Block)
-            self._resume_block(stmt, marker[1], bool(marker[2]), rest)
-        elif kind == "then":
-            assert isinstance(stmt, ast.If) and stmt.then is not None
-            self._resume_stmt(stmt.then, rest)
-        elif kind == "else":
-            assert isinstance(stmt, ast.If) and stmt.otherwise is not None
-            self._resume_stmt(stmt.otherwise, rest)
-        elif kind == "while":
-            assert isinstance(stmt, ast.While)
-            self._resume_while(stmt, rest)
-        elif kind == "dowhile":
-            assert isinstance(stmt, ast.DoWhile)
-            self._resume_do_while(stmt, rest)
-        elif kind in ("for-init", "for-body"):
-            assert isinstance(stmt, ast.For)
-            self._resume_for(stmt, kind == "for-init", rest)
-        elif kind == "switch":
-            assert isinstance(stmt, ast.Switch)
-            self._resume_switch(stmt, marker[1], marker[2], rest)
-        else:
-            raise InterpreterBug(f"unhandled resume marker {marker!r}")
+        if kind == "block" and isinstance(stmt, ast.Block):
+            if 0 <= marker[1] < len(stmt.statements):
+                self._resume_block(stmt, marker[1], bool(marker[2]), rest)
+                return
+        elif kind in ("then", "else") and isinstance(stmt, ast.If):
+            branch = stmt.then if kind == "then" else stmt.otherwise
+            if branch is not None:
+                self._resume_stmt(branch, rest)
+                return
+        elif kind == "switch" and isinstance(stmt, ast.Switch):
+            group, index = marker[1], marker[2]
+            if 0 <= group < len(stmt.groups) and 0 <= index < len(
+                stmt.groups[group].body
+            ):
+                self._resume_switch(stmt, group, index, rest)
+                return
+        raise InterpreterBug(
+            f"resume marker {marker!r} does not fit {type(stmt).__name__}"
+        )
 
     def _resume_block(
         self, block: ast.Block, index: int, new_scope: bool, rest: tuple
@@ -403,85 +396,10 @@ class Interpreter:
         try:
             self._resume_stmt(block.statements[index], rest)
             for stmt in block.statements[index + 1 :]:
-                self._exec_resumed(stmt)
+                self._exec(stmt)
         finally:
             if new_scope:
                 self._pop_scope()
-
-    def _resume_while(self, stmt: ast.While, rest: tuple) -> None:
-        assert stmt.cond is not None and stmt.body is not None
-        try:
-            self._resume_stmt(stmt.body, rest)
-        except _BreakSignal:
-            return
-        except _ContinueSignal:
-            pass
-        while True:
-            self.consume_steps(1)
-            self.coverage.update(stmt.origins)
-            if not self._truthy(self._eval(stmt.cond)):
-                return
-            try:
-                self._exec_resumed(stmt.body)
-            except _BreakSignal:
-                return
-            except _ContinueSignal:
-                continue
-
-    def _resume_do_while(self, stmt: ast.DoWhile, rest: tuple) -> None:
-        assert stmt.cond is not None and stmt.body is not None
-        try:
-            self._resume_stmt(stmt.body, rest)
-        except _BreakSignal:
-            return
-        except _ContinueSignal:
-            pass
-        if not self._truthy(self._eval(stmt.cond)):
-            return
-        while True:
-            self.consume_steps(1)
-            self.coverage.update(stmt.origins)
-            try:
-                self._exec_resumed(stmt.body)
-            except _BreakSignal:
-                return
-            except _ContinueSignal:
-                pass
-            if not self._truthy(self._eval(stmt.cond)):
-                return
-
-    def _resume_for(self, stmt: ast.For, in_init: bool, rest: tuple) -> None:
-        assert stmt.body is not None
-        try:
-            if in_init:
-                assert stmt.init is not None
-                self._resume_stmt(stmt.init, rest)
-            else:
-                try:
-                    self._resume_stmt(stmt.body, rest)
-                except _BreakSignal:
-                    return
-                except _ContinueSignal:
-                    pass
-                if stmt.step is not None:
-                    self._eval(stmt.step)
-            while True:
-                self.consume_steps(1)
-                self.coverage.update(stmt.origins)
-                if stmt.cond is not None and not self._truthy(
-                    self._eval(stmt.cond)
-                ):
-                    return
-                try:
-                    self._exec_resumed(stmt.body)
-                except _BreakSignal:
-                    return
-                except _ContinueSignal:
-                    pass
-                if stmt.step is not None:
-                    self._eval(stmt.step)
-        finally:
-            self._pop_scope()
 
     def _resume_switch(
         self, stmt: ast.Switch, group_index: int, stmt_index: int, rest: tuple
@@ -490,11 +408,11 @@ class Interpreter:
             group = stmt.groups[group_index]
             self._resume_stmt(group.body[stmt_index], rest)
             for inner in group.body[stmt_index + 1 :]:
-                self._exec_resumed(inner)
+                self._exec(inner)
             for later in stmt.groups[group_index + 1 :]:
                 self.coverage.update(later.origins)
                 for inner in later.body:
-                    self._exec_resumed(inner)
+                    self._exec(inner)
         except _BreakSignal:
             pass
         finally:

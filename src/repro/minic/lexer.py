@@ -7,8 +7,32 @@ for direct use in tests.
 
 from __future__ import annotations
 
+import re
+
 from repro.diagnostics import CompileError, Diagnostic, Severity, SourceLocation
 from repro.minic.tokens import KEYWORDS, PUNCTUATION, CToken, CTokenKind
+
+#: An identifier's tail: ``\w`` is exactly ``str.isalnum()`` or ``_``.
+_WORD_TAIL = re.compile(r"\w*")
+
+#: :data:`PUNCTUATION` by first character, in table order, so the first
+#: entry that matches is still the longest.
+_PUNCT_BY_FIRST: dict[str, tuple[str, ...]] = {}
+for _punct in PUNCTUATION:
+    _PUNCT_BY_FIRST[_punct[0]] = _PUNCT_BY_FIRST.get(_punct[0], ()) + (_punct,)
+del _punct
+
+#: What :func:`strip_comments` must see whole: a comment (blanked), or a
+#: string or character literal (kept, so a ``//`` inside one is text).
+#: Each alternative also matches when unterminated, up to the end.
+_COMMENT_OR_LITERAL = re.compile(
+    r"//[^\n]*"
+    r"|/\*.*?(?:\*/|\Z)"
+    r'|"(?:\\.|[^"\\])*(?:"|\\?\Z)'
+    r"|'(?:\\.|[^'\\])*(?:'|\\?\Z)",
+    re.DOTALL,
+)
+_NOT_NEWLINE = re.compile(r"[^\n]")
 
 
 class CLexError(CompileError):
@@ -25,6 +49,7 @@ def lex_line(text: str, line: int, filename: str) -> list[CToken]:
     The preprocessor strips comments before calling this.
     """
     tokens: list[CToken] = []
+    append = tokens.append
     pos = 0
     length = len(text)
     while pos < length:
@@ -33,15 +58,12 @@ def lex_line(text: str, line: int, filename: str) -> list[CToken]:
             pos += 1
             continue
         column = pos + 1
-        location = SourceLocation(line, column, filename)
 
         if char.isalpha() or char == "_":
-            end = pos
-            while end < length and (text[end].isalnum() or text[end] == "_"):
-                end += 1
+            end = _WORD_TAIL.match(text, pos + 1).end()
             word = text[pos:end]
             kind = CTokenKind.KEYWORD if word in KEYWORDS else CTokenKind.IDENT
-            tokens.append(CToken(kind, word, line, column, filename))
+            append(CToken(kind, word, line, column, filename))
             pos = end
             continue
 
@@ -52,121 +74,62 @@ def lex_line(text: str, line: int, filename: str) -> list[CToken]:
                 while end < length and text[end] in "0123456789abcdefABCDEF":
                     end += 1
                 if end == pos + 2:
-                    raise _error("hexadecimal literal with no digits", location)
+                    raise _error(
+                        "hexadecimal literal with no digits",
+                        SourceLocation(line, column, filename),
+                    )
             else:
                 while end < length and text[end].isdigit():
                     end += 1
             while end < length and text[end] in "uUlL":
                 end += 1
             if end < length and (text[end].isalpha() or text[end] == "_"):
-                raise _error(f"malformed number near {text[pos:end + 1]!r}", location)
-            tokens.append(CToken(CTokenKind.INT, text[pos:end], line, column, filename))
+                raise _error(
+                    f"malformed number near {text[pos:end + 1]!r}",
+                    SourceLocation(line, column, filename),
+                )
+            append(CToken(CTokenKind.INT, text[pos:end], line, column, filename))
             pos = end
             continue
 
-        if char == "'":
+        if char == "'" or char == '"':
             end = pos + 1
-            while end < length and text[end] != "'":
+            while end < length and text[end] != char:
                 if text[end] == "\\":
                     end += 1
                 end += 1
             if end >= length:
-                raise _error("unterminated character literal", location)
-            tokens.append(
-                CToken(CTokenKind.CHAR, text[pos : end + 1], line, column, filename)
-            )
+                what = "character" if char == "'" else "string"
+                raise _error(
+                    f"unterminated {what} literal",
+                    SourceLocation(line, column, filename),
+                )
+            kind = CTokenKind.CHAR if char == "'" else CTokenKind.STRING
+            append(CToken(kind, text[pos : end + 1], line, column, filename))
             pos = end + 1
             continue
 
-        if char == '"':
-            end = pos + 1
-            while end < length and text[end] != '"':
-                if text[end] == "\\":
-                    end += 1
-                end += 1
-            if end >= length:
-                raise _error("unterminated string literal", location)
-            tokens.append(
-                CToken(CTokenKind.STRING, text[pos : end + 1], line, column, filename)
-            )
-            pos = end + 1
-            continue
-
-        matched = None
-        for punct in PUNCTUATION:
+        for punct in _PUNCT_BY_FIRST.get(char, ()):
             if text.startswith(punct, pos):
-                matched = punct
                 break
-        if matched is None:
-            raise _error(f"unexpected character {char!r}", location)
-        tokens.append(CToken(CTokenKind.PUNCT, matched, line, column, filename))
-        pos += len(matched)
+        else:
+            raise _error(
+                f"unexpected character {char!r}",
+                SourceLocation(line, column, filename),
+            )
+        append(CToken(CTokenKind.PUNCT, punct, line, column, filename))
+        pos += len(punct)
     return tokens
+
+
+def _blank_comment(match: re.Match) -> str:
+    span = match.group()
+    return _NOT_NEWLINE.sub(" ", span) if span[0] == "/" else span
 
 
 def strip_comments(text: str) -> str:
     """Replace comments with spaces, preserving line structure."""
-    result: list[str] = []
-    pos = 0
-    length = len(text)
-    state = "code"
-    while pos < length:
-        char = text[pos]
-        nxt = text[pos + 1] if pos + 1 < length else ""
-        if state == "code":
-            if char == "/" and nxt == "/":
-                state = "line"
-                result.append("  ")
-                pos += 2
-            elif char == "/" and nxt == "*":
-                state = "block"
-                result.append("  ")
-                pos += 2
-            elif char == '"':
-                state = "string"
-                result.append(char)
-                pos += 1
-            elif char == "'":
-                state = "char"
-                result.append(char)
-                pos += 1
-            else:
-                result.append(char)
-                pos += 1
-        elif state == "line":
-            if char == "\n":
-                state = "code"
-                result.append(char)
-            else:
-                result.append(" ")
-            pos += 1
-        elif state == "block":
-            if char == "*" and nxt == "/":
-                state = "code"
-                result.append("  ")
-                pos += 2
-            else:
-                result.append(char if char == "\n" else " ")
-                pos += 1
-        elif state == "string":
-            result.append(char)
-            if char == "\\" and nxt:
-                result.append(nxt)
-                pos += 2
-                continue
-            if char == '"':
-                state = "code"
-            pos += 1
-        elif state == "char":
-            result.append(char)
-            if char == "\\" and nxt:
-                result.append(nxt)
-                pos += 2
-                continue
-            if char == "'":
-                state = "code"
-            pos += 1
-    return "".join(result)
+    return _COMMENT_OR_LITERAL.sub(_blank_comment, text)
 
 
 def tokenize(text: str, filename: str = "<c>") -> list[CToken]:

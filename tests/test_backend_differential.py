@@ -310,6 +310,36 @@ def test_checkpointed_campaign_lowers_switch_local_functions_alone(monkeypatch):
     assert fast.results == reference.results
 
 
+#: ``run`` with one parameter and with three: the harness's two-argument
+#: call has an unexpected arity either way.
+_ODD_ARITY_SOURCES = (
+    "int twice(int x) { return x + x; }\n"
+    "int run(int a) { return twice(a); }\n",
+    "int twice(int x) { return x + x; }\n"
+    "int run(int a, int b, int c) { int s = twice(a) + b; return s + c; }\n",
+)
+
+
+@pytest.mark.parametrize("source", _ODD_ARITY_SOURCES, ids=("one", "three"))
+def test_odd_arity_call_runs_on_the_walker(monkeypatch, source):
+    """An emitted function called with an unexpected argument count runs
+    its declaration on the tree walker: everything observable equals the
+    walker's (an unbound parameter faults alike), and nothing is
+    closure-lowered."""
+    program = compile_program([SourceFile("arity.c", source)])
+    lowered = []
+    lower_function = _Lowerer._lower_function
+
+    def counting_lower_function(self, decl):
+        lowered.append(decl.name)
+        return lower_function(self, decl)
+
+    monkeypatch.setattr(_Lowerer, "_lower_function", counting_lower_function)
+    reference = run_once(program, "tree", 0, 10_000)
+    assert run_once(program, "source", 0, 10_000) == reference
+    assert lowered == []
+
+
 # -- real campaign mutants -----------------------------------------------------
 
 

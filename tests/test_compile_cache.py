@@ -39,7 +39,7 @@ from repro.kernel.checkpoint import (
 from repro.kernel.kernel import DEFAULT_STEP_BUDGET, boot
 from repro.kernel.outcomes import BootOutcome
 from repro.minic import ast, codegen
-from repro.minic.compile import _Lowerer, environment_key, interpreter_for
+from repro.minic.compile import _Lowerer, interpreter_for
 from repro.minic.incremental import CampaignCompiler
 from repro.minic.program import SourceFile, compile_program
 from repro.minic.sema import Sema
@@ -377,14 +377,18 @@ def _nodes(node):
                 yield from _nodes(child)
 
 
-def test_interleaved_variants_share_resume_lowerings_safely(monkeypatch):
+def test_interleaved_variants_resume_identically_lowering_whole_functions(
+    monkeypatch,
+):
     """Edit A, the baseline, edit B: identical boots on every backend.
 
-    The checkpointed resumes run the shared statements after the edit
-    through closures cached on those (shared) nodes.
+    The checkpointed resumes run the statements after the edit on the
+    reference walker, so closure lowering is reached only through whole
+    functions: every statement is lowered inside a
+    ``_Lowerer._lower_function`` call.
     """
     source, driver, registry, compiler = _fresh_c_compiler()
-    lowered = _count_lowered_statements(monkeypatch)
+    inside, outside = _split_lowerings(monkeypatch)
     plan = record_plan(
         compiler.baseline_program,
         standard_pc(with_busmouse=False),
@@ -415,13 +419,32 @@ def test_interleaved_variants_share_resume_lowerings_safely(monkeypatch):
         )
         assert boot_report_view(resumed) == boot_report_view(cold)
     assert resumed_midcall
-    # ``return 0;`` ran resumed in both edits' boots, from one closure
-    # cached on the node every variant shares with the baseline.
-    shared_return = _function(compiler.baseline_program.unit, "ide_read").body.statements[-1]
-    key, _ = shared_return.__dict__["_closure"]
-    assert key == environment_key(compiler.baseline_program)
-    assert sum(node is shared_return for node in lowered) == 1
+    assert inside and outside == []
     _assert_baseline_pristine(compiler, driver, registry, source)
+
+
+def _split_lowerings(monkeypatch) -> tuple[list, list]:
+    """The statement nodes closure-lowered from now on, split by whether
+    a ``_Lowerer._lower_function`` call was running."""
+    inside: list = []
+    outside: list = []
+    running = [0]
+    lower_function, lower_node = _Lowerer._lower_function, _Lowerer._lower_node
+
+    def tracking_lower_function(self, decl):
+        running[0] += 1
+        try:
+            return lower_function(self, decl)
+        finally:
+            running[0] -= 1
+
+    def tracking_lower_node(self, stmt):
+        (inside if running[0] else outside).append(stmt)
+        return lower_node(self, stmt)
+
+    monkeypatch.setattr(_Lowerer, "_lower_function", tracking_lower_function)
+    monkeypatch.setattr(_Lowerer, "_lower_node", tracking_lower_node)
+    return inside, outside
 
 
 def _count_lowered_statements(monkeypatch) -> list:

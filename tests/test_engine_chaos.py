@@ -207,9 +207,9 @@ def test_back_to_back_campaigns_after_kills(serial_plain, serial_devil):
     assert third == serial_plain
 
 
-def test_supervision_disabled_restores_abort_on_death(eval_hook):
-    """``SupervisionPolicy.disabled()`` is the seed behaviour: the first
-    worker death aborts the campaign with the classic EngineError."""
+def test_zero_respawn_budget_fails_at_first_worker_death(eval_hook):
+    """``SupervisionPolicy(max_respawns=0)`` fails fast: the first worker
+    death raises an EngineError naming the exhausted respawn budget."""
 
     def crash_all(spec, index, item):
         os._exit(86)
@@ -217,10 +217,9 @@ def test_supervision_disabled_restores_abort_on_death(eval_hook):
     eval_hook(crash_all)
     from repro.engine import EngineError
 
-    with Engine(
-        workers=2, warm=(PLAIN,), supervision=SupervisionPolicy.disabled()
-    ) as engine:
-        with pytest.raises(EngineError, match="died mid-campaign"):
+    policy = SupervisionPolicy(max_respawns=0, backoff_base=0.0)
+    with Engine(workers=2, warm=(PLAIN,), supervision=policy) as engine:
+        with pytest.raises(EngineError, match=r"respawn budget \(0\)"):
             engine.submit(PLAIN)
 
 

@@ -105,3 +105,43 @@ def test_unknown_character_rejected():
 def test_malformed_number_rejected():
     with pytest.raises(CLexError):
         lex_line("0xzz", 1, "x.c")
+
+
+@pytest.mark.parametrize(
+    "source,expected",
+    [
+        # An unterminated block comment blanks the rest, newlines kept.
+        ("a /* open\nto the end", "a        \n          "),
+        # An escaped quote does not end the string: its "//" is text.
+        ('x = "a\\"//b"; // c', 'x = "a\\"//b";     '),
+        # A quote inside a character literal opens no string.
+        ("c = '\"'; /* d */", "c = '\"';        "),
+        # "/*/" is not closed by its own star.
+        ("/*/ still */x", "            x"),
+        # An unterminated string runs on across lines, "//" included.
+        ('"open\n// kept" y', '"open\n// kept" y'),
+        # A trailing backslash inside an open string is kept.
+        ('z = "tail\\', 'z = "tail\\'),
+    ],
+)
+def test_strip_comments_edge_cases(source, expected):
+    assert strip_comments(source) == expected
+
+
+@pytest.mark.parametrize(
+    "line,message,column",
+    [
+        ('"open', "unterminated string literal", 1),
+        ("'a", "unterminated character literal", 1),
+        ("a ` b", "unexpected character '`'", 3),
+        (" 0x", "hexadecimal literal with no digits", 2),
+        ("1u_", "malformed number near '1u_'", 1),
+    ],
+)
+def test_lex_errors_name_the_token_and_its_column(line, message, column):
+    with pytest.raises(CLexError) as raised:
+        lex_line(line, 3, "x.c")
+    (diagnostic,) = raised.value.diagnostics
+    assert diagnostic.message == message
+    assert (diagnostic.location.line, diagnostic.location.column) == (3, column)
+    assert diagnostic.location.filename == "x.c"

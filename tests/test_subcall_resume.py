@@ -3,18 +3,25 @@
 Two layers below the campaign tests in ``test_checkpoint.py``:
 
 * **interpreter-level sweeps** — a recording tree walker snapshots at
-  depth-1 statement boundaries of a direct call (loops, switches and
-  branches included — no loop-free policy here, so the resume descent's
-  hairiest continuations all execute), then every snapshot is restored
-  into every backend and test-only interpreter and resumed; the split run must be
-  indistinguishable from an uninterrupted one.  Swept over the busmouse
-  spec's driver and the differential harness's generated programs;
+  every boundary it offers in a direct call: each depth-1 statement
+  outside every loop body, before pending loops, switches and branches
+  included (no loop-free policy here, unlike ``record_plan``'s), then
+  every snapshot is restored into every backend and test-only
+  interpreter and resumed; the split run must be indistinguishable from
+  an uninterrupted one.  Swept over the busmouse spec's driver, a
+  hand-written loop program and the differential harness's generated
+  programs;
 * **boot-level sweeps** — the C and C/Devil drivers' sub-call plans
   resume the clean boot from every recorded checkpoint on every backend
-  (fast slice in tier-1, the full sweep under ``slow``).
+  (fast slice in tier-1, the full sweep under ``slow``);
+* **fail-closed resume** — a path the recorder cannot produce (a loop
+  marker, an unknown marker, an index past the end) raises
+  ``InterpreterBug`` before any statement runs.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -41,14 +48,12 @@ from repro.kernel.kernel import (
     boot,
     classify_run,
 )
+from repro.minic import ast
 from repro.minic.compile import interpreter_for
+from repro.minic.errors import InterpreterBug
 from repro.minic.program import SourceFile, compile_program
 
 # -- interpreter-level sweeps --------------------------------------------------
-
-#: Interpreter-level sweeps cap their snapshot count (loop bodies yield
-#: a boundary per iteration).
-MAX_CAPTURES = 12
 
 
 def _interp_view(interp):
@@ -69,7 +74,7 @@ def _guarded(thunk):
 
 
 def _sweep_direct_call(program, start, finish, machine_factory, budget, backends):
-    """Snapshot depth-1 boundaries of ``start``'s call; resume everywhere.
+    """Snapshot every boundary of ``start``'s call; resume everywhere.
 
     ``start(interp)`` issues the instrumented direct call;
     ``finish(interp)`` performs any follow-up calls.  Both return
@@ -84,15 +89,8 @@ def _sweep_direct_call(program, start, finish, machine_factory, budget, backends
     machine, bus = machine_factory()
     recorder = _RecordingInterpreter(program, bus, step_budget=budget)
     captures = []
-    seen = [0]
 
     def hook(stmt):
-        index = seen[0]
-        seen[0] += 1
-        if len(captures) >= MAX_CAPTURES:
-            return
-        if index >= 4 and index % 23 != 0:
-            return  # dense early, sparse through loop iterations
         captures.append(
             (
                 recorder.snapshot_state(),
@@ -155,6 +153,79 @@ def test_busmouse_driver_subcall_resume_sweep():
     assert count >= 4  # the probe body's early statement boundaries
 
 
+_LOOPS_SOURCE = """
+int g;
+
+int helper(int x) {
+    int k = 0;
+    while (k < x) {
+        k++;
+    }
+    return k;
+}
+
+int run(int n) {
+    int a = 0;
+    while (a < n) {
+        a++;
+        g = helper(a);
+    }
+    do {
+        a--;
+    } while (a > 0);
+    for (int i = 0; i < n; i++) {
+        a += i;
+    }
+    switch (a) {
+    case 3:
+        g++;
+        break;
+    default:
+        g = 0;
+    }
+    if (a) {
+        g = g + helper(2);
+    }
+    return a + g;
+}
+"""
+
+
+def test_recorder_offers_no_boundary_inside_a_loop():
+    """The recorder's boundaries are exactly the depth-1 statements
+    outside every loop body: a ``while``, ``do`` or ``for`` is one
+    boundary, its body and ``for`` initialiser none, and a loop inside
+    a nested call none either.  Each boundary resumes on every backend,
+    those before the pending loops included."""
+    program = compile_program([SourceFile("loops.c", _LOOPS_SOURCE)])
+    run = next(
+        decl
+        for decl in program.unit.decls
+        if isinstance(decl, ast.FuncDecl) and decl.name == "run"
+    )
+    decl_a, spin, countdown, loop, switch, branch, ret = run.body.statements
+    case_3 = switch.groups[0].body
+    expected = [
+        decl_a, spin, countdown, loop, switch, *case_3,
+        branch, branch.then, *branch.then.statements, ret,
+    ]
+    recorder = _RecordingInterpreter(program, step_budget=10_000)
+    seen = []
+    recorder.boundary_hook = seen.append
+    assert recorder.call("run", 3) == 9
+    assert list(map(id, seen)) == list(map(id, expected))
+
+    count = _sweep_direct_call(
+        program,
+        start=lambda interp: _guarded(lambda: interp.call("run", 3)),
+        finish=lambda interp: None,
+        machine_factory=lambda: (None, None),
+        budget=10_000,
+        backends=INTERPRETERS,
+    )
+    assert count == len(expected)
+
+
 def _generated_seeds(limit):
     """Generated-program seeds whose ``run`` entry hits depth-1 boundaries."""
     found = []
@@ -195,8 +266,9 @@ def _generated_sweep(seed):
 
 @pytest.mark.parametrize("seed", _generated_seeds(4))
 def test_generated_program_subcall_resume_sweep(seed):
-    """Random programs: depth-1 boundaries resume on every backend
-    (loops, switches, do-while and shadowing declarations included)."""
+    """Random programs: every boundary the recorder offers resumes on
+    every backend (before pending loops, switches, do-while and
+    shadowing declarations included)."""
     _generated_sweep(seed)
 
 
@@ -301,3 +373,51 @@ def test_midcall_snapshot_retake_transfers(first, second):
     sequence.restore_state(checkpoint.kernel)
     report = classify_run(sequence.run, machine, resumed)
     assert boot_report_view(report) == cold
+
+
+# -- fail-closed resume --------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def c_subcall_checkpoint():
+    """Driver c's program and its plan's first sub-call checkpoint."""
+    files, registry = assemble_c_program()
+    program = compile_program(files, registry)
+    plan = record_plan(
+        program, standard_pc(with_busmouse=False), DEFAULT_STEP_BUDGET
+    )
+    return program, next(c for c in plan.checkpoints if c.subcall)
+
+
+@pytest.mark.parametrize("backend", INTERPRETERS)
+@pytest.mark.parametrize("marker", ("while", "unknown", "past-end"))
+def test_malformed_resume_path_runs_nothing(c_subcall_checkpoint, backend, marker):
+    """A loop marker, an unknown marker and a ``block`` index past the
+    end raise ``InterpreterBug`` before any statement runs: steps,
+    coverage and log stay as restored."""
+    program, checkpoint = c_subcall_checkpoint
+    name, _, args = checkpoint.interp.resume
+    body = next(
+        decl.body
+        for decl in program.unit.decls
+        if isinstance(decl, ast.FuncDecl) and decl.name == name
+    )
+    bad = {
+        "while": ("while",),
+        "unknown": ("goto", 0),
+        "past-end": ("block", len(body.statements), False),
+    }[marker]
+    snapshot = dataclasses.replace(
+        checkpoint.interp, resume=(name, (bad,), args)
+    )
+    interp = interpreter_for(backend)(
+        program,
+        standard_pc(with_busmouse=False).bus,
+        step_budget=DEFAULT_STEP_BUDGET,
+        defer_globals=True,
+    )
+    interp.restore_state(snapshot)
+    restored = _interp_view(interp)
+    with pytest.raises(InterpreterBug, match="does not fit"):
+        interp.resume_in_flight()
+    assert _interp_view(interp) == restored
